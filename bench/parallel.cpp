@@ -75,39 +75,11 @@ void tearDownShared(benchmark::State &State) {
 }
 
 /// The paper's shared-slot write on an uncontended (per-thread) slot:
-/// one atomic exchange plus two uncounted local-count bumps. This is
-/// the parallel fast path — no locks, no cross-thread communication.
-/// Hinted form: the benchmark slots are single-region by construction,
-/// so the caller may legally name the displaced value's region and
-/// skip the page-map resolve (BM_SharedExchangeResolved measures that
-/// resolve; their difference is the cost of not trusting the caller).
-void BM_SharedExchange(benchmark::State &State) {
-  if (State.thread_index() == 0)
-    setUpShared(State);
-  ThreadSlot Tid(GState.Space);
-  for (auto _ : State) {
-    SharedRegion *S = GState.S;
-    int *Obj = GState.Obj[State.thread_index()];
-    auto &Slot = GState.Slots[State.thread_index()].Ptr;
-    for (int I = 0; I != kBatch; ++I) {
-      int *New = (I & 1) ? Obj : nullptr;
-      GState.Space.sharedExchange(Slot, New, New ? S : nullptr, S, Tid);
-    }
-  }
-  State.SetItemsProcessed(State.iterations() * kBatch);
-  if (State.thread_index() == 0)
-    tearDownShared(State);
-}
-BENCHMARK(BM_SharedExchange)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
-
-/// The resolving shared-slot write: identical traffic to
-/// BM_SharedExchange, but the displaced value's region is found after
-/// the exchange — page-map probe (one bounds test + map load on the
-/// hot-arena hit) plus the Region → SharedRegion binding walk and its
-/// generation check — instead of being named by the caller. This is
-/// the form that stays correct under cross-region races; the delta
-/// against BM_SharedExchange is the price of that correctness, and
-/// check_regression tracks it in BENCH_parallel.json.
+/// one atomic exchange plus two uncounted local-count bumps — the
+/// parallel fast path, no locks and no cross-thread communication. The
+/// displaced value's region is found after the exchange (page-map
+/// probe plus the Region → SharedRegion binding walk and its generation
+/// check), the only form that stays correct under cross-region races.
 void BM_SharedExchangeResolved(benchmark::State &State) {
   if (State.thread_index() == 0)
     setUpShared(State);
@@ -144,7 +116,7 @@ void BM_SharedExchangeContended(benchmark::State &State) {
     for (int I = 0; I != kBatch; ++I) {
       int *New = (I & 1) ? Obj : nullptr;
       GState.Space.sharedExchange(GState.ContendedSlot, New,
-                                  New ? S : nullptr, S, Tid);
+                                  New ? S : nullptr, Tid);
     }
   }
   State.SetItemsProcessed(State.iterations() * kBatch);

@@ -60,7 +60,7 @@ POOL_KEYS = ["hits", "misses", "releases", "trims"]
 
 PAGESOURCE_KEYS = [
     "osBytes", "inUseBytes", "reservedPages", "frontierPages",
-    "freeListedPages", "cachedSinglePages", "quarantinedPages",
+    "freeListedPages", "quarantinedPages",
     "coalesceSweeps", "quarantineEvictions",
 ]
 

@@ -4,7 +4,7 @@
 //
 // Demonstrates the rstat observability layer on a small compiler-like
 // workload:
-//  * metrics snapshots (rgn::RegionManager::metrics()) — the paper's
+//  * metrics snapshots (regions::RegionManager::metrics()) — the paper's
 //    Table 2/3 counters plus size-class and lifetime histograms,
 //    printable as tables or JSON;
 //  * runtime-armed event tracing — newregion/deleteregion, page-run
@@ -55,7 +55,7 @@ int main() {
 
   // 1. Metrics snapshot: exactly stats(), plus the PageSource view and
   //    the region histograms.
-  rgn::MetricsSnapshot M = Mgr.metrics();
+  MetricsSnapshot M = Mgr.metrics();
   printMetrics(M);
 
   // 2. Chrome trace: one instant event per region lifecycle action.

@@ -57,7 +57,7 @@ int main() {
   }
 
   RegionStats S = Mgr.stats();
-  PoolStats P = Mgr.poolStats();
+  PoolStats P = Mgr.metrics().Pool;
   std::printf("requests served      %u\n", kRequests);
   std::printf("pool hits / misses   %llu / %llu\n",
               static_cast<unsigned long long>(P.Hits),

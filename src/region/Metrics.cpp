@@ -26,7 +26,6 @@ MetricsSnapshot RegionManager::metrics() const {
   M.ReservedPages = Source.reservedPages();
   M.FrontierPages = Source.frontierPages();
   M.FreeListedPages = Source.freeListedPages();
-  M.CachedSinglePages = Source.cachedSinglePages();
   M.QuarantinedPages = Source.quarantinedPages();
   M.CoalesceSweeps = Source.coalesceSweeps();
   M.QuarantineEvictions = Source.quarantineEvictions();
@@ -106,8 +105,6 @@ void regions::writeMetricsJson(const MetricsSnapshot &M, std::FILE *Out) {
   std::fprintf(Out, "    \"frontierPages\": %" PRIu64 ",\n", M.FrontierPages);
   std::fprintf(Out, "    \"freeListedPages\": %" PRIu64 ",\n",
                M.FreeListedPages);
-  std::fprintf(Out, "    \"cachedSinglePages\": %" PRIu64 ",\n",
-               M.CachedSinglePages);
   std::fprintf(Out, "    \"quarantinedPages\": %" PRIu64 ",\n",
                M.QuarantinedPages);
   std::fprintf(Out, "    \"coalesceSweeps\": %" PRIu64 ",\n",
@@ -161,7 +158,6 @@ void regions::printMetrics(const MetricsSnapshot &M, std::FILE *Out) {
   Counters.addRow({"reserved pages", TW::fmt(M.ReservedPages)});
   Counters.addRow({"frontier pages", TW::fmt(M.FrontierPages)});
   Counters.addRow({"free-listed pages", TW::fmt(M.FreeListedPages)});
-  Counters.addRow({"cached single pages", TW::fmt(M.CachedSinglePages)});
   Counters.addRow({"quarantined pages", TW::fmt(M.QuarantinedPages)});
   Counters.addRow({"coalesce sweeps", TW::fmt(M.CoalesceSweeps)});
   Counters.addRow({"quarantine evictions", TW::fmt(M.QuarantineEvictions)});
@@ -197,9 +193,7 @@ void RegionManager::dumpHeap(std::FILE *Out) const {
                  R->Id, R->RC, R->NumAllocs, R->ReqBytes, R->NumRuns,
                  R->CountRefs ? "" : " (uncounted)");
     for (std::uint32_t I = 0; I != R->NumRuns; ++I) {
-      detail::PageRun Run = I < Region::kInlineRuns
-                                ? R->InlineRuns[I]
-                                : R->OverflowRuns[I - Region::kInlineRuns];
+      const detail::PageRun &Run = R->runAt(I);
       std::fprintf(Out, "  run %u: pages [%u, %u)\n", I, Run.PageIdx,
                    Run.PageIdx + Run.NumPages);
     }

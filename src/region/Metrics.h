@@ -39,8 +39,8 @@ struct MetricsSnapshot {
   /// Aggregated manager counters — identical to RegionManager::stats().
   RegionStats Stats;
 
-  /// rpool activity — identical to RegionManager::poolStats(): every
-  /// RegionPool over this manager, summed (region/Pool.h).
+  /// rpool activity: every RegionPool over this manager, summed
+  /// (region/Pool.h). This snapshot is the only read surface for it.
   PoolStats Pool;
 
   // PageSource state (Figure 8's OS-level view plus the free-list and
@@ -50,7 +50,6 @@ struct MetricsSnapshot {
   std::uint64_t ReservedPages = 0;  ///< arena size
   std::uint64_t FrontierPages = 0;  ///< pages ever handed out
   std::uint64_t FreeListedPages = 0;///< recyclable without frontier growth
-  std::uint64_t CachedSinglePages = 0;
   std::uint64_t QuarantinedPages = 0;
   std::uint64_t CoalesceSweeps = 0; ///< deferred-coalescing sweeps run
   std::uint64_t QuarantineEvictions = 0;
@@ -86,10 +85,5 @@ bool writeMetricsJson(const MetricsSnapshot &M, const char *Path);
 void printMetrics(const MetricsSnapshot &M, std::FILE *Out = stdout);
 
 } // namespace regions
-
-/// The issue-facing spelling: `rgn::MetricsSnapshot`,
-/// `rgn::RegionManager::metrics()`. The project namespace predates the
-/// alias; both name the same entities.
-namespace rgn = regions;
 
 #endif // REGION_METRICS_H

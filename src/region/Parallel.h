@@ -67,10 +67,7 @@
 /// exchange: page map first (regionOf names the region), then the
 /// Region → SharedRegion binding share() published (names the record),
 /// generation-checked so a record retired and rebound mid-resolve is
-/// never mistaken for the old occupant. A hinted overload keeps the
-/// resolve off the fast path for slots the caller genuinely knows
-/// (single-region mailboxes); RGN_HARDEN verifies the hint against the
-/// resolution and aborts on a mismatch.
+/// never mistaken for the old occupant.
 ///
 /// Deletion normally ends on the owning thread — managers are not
 /// thread-safe, so the authoritative recheck's deleteRegionRaw must
@@ -293,35 +290,6 @@ public:
       addRef(NewShared, Tid);
     T *Old = Slot.exchange(NewVal, std::memory_order_acq_rel);
     if (SharedRegion *OldShared = resolveSharedRegion(Old))
-      dropRef(OldShared, Tid);
-    return Old;
-  }
-
-  /// Hinted fast path: as above, but the caller asserts that any value
-  /// this exchange can displace belongs to \p OldShared's region (or
-  /// is null / non-shared when \p OldShared is null), so the drop
-  /// skips the page-map resolve. Only sound when every writer of
-  /// \p Slot installs values from that one region — a single-region
-  /// mailbox drained and refilled from the same shared region. When
-  /// several regions' values can race through the slot, the hint is a
-  /// pre-exchange guess about a post-exchange fact: use the resolving
-  /// overload. RGN_HARDEN re-resolves the displaced value and aborts
-  /// when the hint disagrees.
-  template <class T>
-  T *sharedExchange(std::atomic<T *> &Slot, T *NewVal,
-                    SharedRegion *NewShared, SharedRegion *OldShared,
-                    unsigned Tid) {
-    if (NewShared)
-      addRef(NewShared, Tid);
-    T *Old = Slot.exchange(NewVal, std::memory_order_acq_rel);
-    if constexpr (detail::kRsanEnabled) {
-      if (Old && resolveSharedRegion(Old) != OldShared)
-        reportFatalError(
-            "rsan: sharedExchange hint names the wrong region for the "
-            "displaced value (cross-region race through a hinted slot — "
-            "use the resolving overload)");
-    }
-    if (OldShared && Old)
       dropRef(OldShared, Tid);
     return Old;
   }

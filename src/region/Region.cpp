@@ -181,11 +181,7 @@ char *RegionManager::carvePage(Region *R, bool &Zeroed) {
     // the pages never left the region. Never-reset regions keep the
     // window empty, so this is one always-false compare for them.
     if (RGN_UNLIKELY(R->NextReserve < R->ReserveEnd)) {
-      detail::PageRun Run =
-          R->NextReserve < Region::kInlineRuns
-              ? R->InlineRuns[R->NextReserve]
-              : R->OverflowRuns[R->NextReserve - Region::kInlineRuns];
-      ++R->NextReserve;
+      detail::PageRun Run = R->runAt(R->NextReserve++);
       R->RunCursor = Run.PageIdx;
       R->RunEnd = Run.PageIdx + Run.NumPages;
       R->RunZeroed = 0; // dirty: written by the previous incarnation
@@ -410,7 +406,7 @@ void *RegionManager::allocLarge(Region *R, std::size_t Size, ScanThunk Thunk,
   return Block + detail::kLargePayloadOff;
 }
 
-const RegionStats &RegionManager::stats() const {
+RegionStats RegionManager::stats() const {
   RegionStats Agg = Stats;
   std::uint64_t LiveBytes = 0;
   for (const Region *R = LiveHead; R; R = R->NextLive) {
@@ -429,8 +425,7 @@ const RegionStats &RegionManager::stats() const {
   // Persist the sampled watermarks so later folds build on them.
   Stats.MaxLiveRequestedBytes = Agg.MaxLiveRequestedBytes;
   Stats.MaxRegionBytes = Agg.MaxRegionBytes;
-  StatsSnapshot = Agg;
-  return StatsSnapshot;
+  return Agg;
 }
 
 void RegionManager::runCleanups(Region *R) {
@@ -467,11 +462,11 @@ void RegionManager::runCleanups(Region *R) {
   Stats.CleanupThunksRun += ThunksRun;
 }
 
-std::size_t RegionManager::freeRegionMemory(Region *R) {
-  // Fold the dying region's deferred per-allocation counters into the
-  // global view. Live bytes only ever decrease here, so sampling the
-  // watermark just before the drop observes every peak exactly as
-  // eager per-allocation accounting would.
+void RegionManager::foldRetired(const Region *R) {
+  // Fold the retiring region's deferred per-allocation counters into
+  // the global view. Live bytes only ever decrease at retirement, so
+  // sampling the watermark just before the drop observes every peak
+  // exactly as eager per-allocation accounting would.
   std::uint64_t LiveBytes = 0;
   for (const Region *L = LiveHead; L; L = L->NextLive)
     LiveBytes += L->ReqBytes;
@@ -484,12 +479,15 @@ std::size_t RegionManager::freeRegionMemory(Region *R) {
   Stats.BarrierAdjustments += R->barrierAdjustments();
   if (R->ReqBytes > Stats.MaxRegionBytes)
     Stats.MaxRegionBytes = R->ReqBytes;
-  --Stats.LiveRegions;
   // rstat histograms: the region's final size class, and its lifetime
   // on the region-creation logical clock (siblings created since its
   // birth; ≥1 because its own creation ticked the clock).
   ++DeadSizeClasses[detail::metricsBucket(R->ReqBytes)];
   ++DeadLifetimes[detail::metricsBucket(NextRegionId - R->Id)];
+}
+
+std::size_t RegionManager::freeRegionMemory(Region *R) {
+  --Stats.LiveRegions;
   if (R->PrevLive)
     R->PrevLive->NextLive = R->NextLive;
   else
@@ -522,28 +520,30 @@ std::size_t RegionManager::freeRegionMemory(Region *R) {
   return PagesFreed;
 }
 
-bool RegionManager::deleteRegionImpl(Region *R, void **HandleSlot,
+bool RegionManager::checkAndFinalize(Region *R, void **HandleSlot,
                                      bool HandleCounted,
-                                     const rt::SlotNode *HandleNode) {
+                                     const rt::SlotNode *HandleNode,
+                                     bool Reset) {
   if constexpr (detail::kRsanEnabled) {
-    // Diagnose a double deleteregion *before* any member access: R's
-    // storage is quarantined poison by now, and the page map no longer
-    // (or no longer exclusively) maps its address back to R.
+    // Diagnose a stale handle *before* any member access: a deleted (or
+    // trimmed) region's storage is quarantined poison by now, and the
+    // page map no longer (or no longer exclusively) maps it back to R.
     if (!R || regionOf(static_cast<const void *>(R)) != R)
-      reportFatalError("rsan: deleteregion on a region that is not live "
-                       "(double delete, or a stale/corrupted handle)");
+      reportFatalError("rsan: deleteregion/resetregion on a region that is "
+                       "not live (double delete, or a stale/corrupted "
+                       "handle)");
   }
-  assert(R && R->Mgr == this && "deleting a foreign or null region");
-  // A region that is currently bound to a par::SharedRegion record must
-  // be retired through ParallelSpace::tryDelete, which clears the
-  // binding (after proving the summed per-thread counts are zero)
-  // before it calls back in here. Deleting it directly would leave the
-  // record's R pointer and the binding dangling into recycled pages.
-  assert(!R->sharedBinding() &&
-         "deleteregion on a shared region: use ParallelSpace::tryDelete");
-  ++Stats.DeleteAttempts;
+  assert(R && R->Mgr == this && "retiring a foreign or null region");
+  // A shared region's record holds counted references owned by other
+  // threads. ParallelSpace::tryDelete clears the binding (after proving
+  // the summed per-thread counts are zero) before it calls back in
+  // here; any other retirement would leave the record's R pointer and
+  // the binding dangling into recycled pages. Fatal in every build.
+  if (RGN_UNLIKELY(R->sharedBinding() != nullptr))
+    reportFatalError("deleteregion/resetregion on a shared region: retire "
+                     "it through ParallelSpace::tryDelete");
 
-  // Deletion is a count inspection: buffered barrier adjustments must
+  // Retirement is a count inspection: buffered barrier adjustments must
   // land before RC is compared against the handle's contribution.
   detail::flushPendingCounts();
 
@@ -566,24 +566,37 @@ bool RegionManager::deleteRegionImpl(Region *R, void **HandleSlot,
             ? rt::RuntimeStack::current().countTopFrameRefsTo(R, HandleSlot)
             : 0;
     if (R->RC != HandleContribution || TopRefs != 0) {
-      ++Stats.DeleteFailures;
-      rstat::traceEvent(rstat::EventKind::DeleteRegionFail, R->Id,
+      ++(Reset ? Stats.ResetRefusals : Stats.DeleteFailures);
+      rstat::traceEvent(Reset ? rstat::EventKind::ResetRegionFail
+                              : rstat::EventKind::DeleteRegionFail,
+                        R->Id,
                         static_cast<std::uint32_t>(
                             R->RC < 0 ? 0 : R->RC + TopRefs));
       return false;
     }
   }
 
-  // The deletion will go ahead: check every allocation's red zone and
+  // Retirement will go ahead: check every allocation's red zone and
   // size header while the metadata is still reachable. Violations are
-  // fatal — freeing the region would destroy the evidence.
+  // fatal — retiring the region would destroy the evidence.
   if constexpr (detail::kRsanEnabled)
     rsanValidate(R, /*FatalOnViolation=*/true);
 
   if (Cfg.CleanupScan)
     runCleanups(R);
+  return true;
+}
+
+bool RegionManager::deleteRegionImpl(Region *R, void **HandleSlot,
+                                     bool HandleCounted,
+                                     const rt::SlotNode *HandleNode) {
+  ++Stats.DeleteAttempts;
+  if (!checkAndFinalize(R, HandleSlot, HandleCounted, HandleNode,
+                        /*Reset=*/false))
+    return false;
   if (HandleSlot)
     *HandleSlot = nullptr; // cleared without barrier: the count dies with R
+  foldRetired(R);
   std::uint64_t Id = R->Id; // R's storage is gone after the free
   std::size_t PagesFreed = freeRegionMemory(R);
   rstat::traceEvent(rstat::EventKind::DeleteRegionOk, Id,
@@ -592,69 +605,13 @@ bool RegionManager::deleteRegionImpl(Region *R, void **HandleSlot,
 }
 
 bool RegionManager::resetRegion(Region *R) {
-  if constexpr (detail::kRsanEnabled) {
-    // Same stale-handle diagnosis as deleteregion, before any member
-    // access: a reset of a deleted (or trimmed) region's handle lands
-    // on quarantined poison.
-    if (!R || regionOf(static_cast<const void *>(R)) != R)
-      reportFatalError("rsan: resetregion on a region that is not live "
-                       "(double delete, or a stale/corrupted handle)");
-  }
-  assert(R && R->Mgr == this && "resetting a foreign or null region");
-  // A shared region's record holds counted references owned by other
-  // threads; recycling the storage under them is a use-after-free by
-  // construction. Fatal in every build: the pool must never see one.
-  if (RGN_UNLIKELY(R->sharedBinding() != nullptr))
-    reportFatalError("resetregion on a shared region: retire it through "
-                     "ParallelSpace::tryDelete, never a pool");
-
-  // Reset is a count inspection exactly like deletion: flush buffered
-  // adjustments, scan the shadow stack, and refuse while any counted
-  // external reference or live scanned local remains. There is no
-  // handle exception — the caller's own handle survives the reset.
-  detail::flushPendingCounts();
-  if (Cfg.StackScan)
-    rt::RuntimeStack::current().scanForDelete();
-  if (Cfg.RefCounts || Cfg.StackScan) {
-    std::size_t TopRefs =
-        Cfg.StackScan
-            ? rt::RuntimeStack::current().countTopFrameRefsTo(R, nullptr)
-            : 0;
-    if (R->RC != 0 || TopRefs != 0) {
-      ++Stats.ResetRefusals;
-      rstat::traceEvent(rstat::EventKind::ResetRegionFail, R->Id,
-                        static_cast<std::uint32_t>(
-                            R->RC < 0 ? 0 : R->RC + TopRefs));
-      return false;
-    }
-  }
-
-  // The reset will go ahead: validate hardened metadata while it is
-  // still reachable, then finalize the incarnation's objects.
-  if constexpr (detail::kRsanEnabled)
-    rsanValidate(R, /*FatalOnViolation=*/true);
-  if (Cfg.CleanupScan)
-    runCleanups(R);
-
-  // Fold the retiring incarnation into the global view exactly as
-  // freeRegionMemory would — watermark sample, per-allocation counters,
-  // histograms — except the region stays live and listed: one logical
-  // region ends and another begins in the same storage, so TotalRegions
-  // ticks while LiveRegions holds.
-  std::uint64_t LiveBytes = 0;
-  for (const Region *L = LiveHead; L; L = L->NextLive)
-    LiveBytes += L->ReqBytes;
-  if (LiveBytes > Stats.MaxLiveRequestedBytes)
-    Stats.MaxLiveRequestedBytes = LiveBytes;
-  Stats.TotalAllocs += R->NumAllocs;
-  Stats.TotalRequestedBytes += R->ReqBytes;
-  Stats.BarrierStores += R->barrierStores();
-  Stats.BarrierSameRegion += R->barrierSameRegion();
-  Stats.BarrierAdjustments += R->barrierAdjustments();
-  if (R->ReqBytes > Stats.MaxRegionBytes)
-    Stats.MaxRegionBytes = R->ReqBytes;
-  ++DeadSizeClasses[detail::metricsBucket(R->ReqBytes)];
-  ++DeadLifetimes[detail::metricsBucket(NextRegionId - R->Id)];
+  // No handle exception: the caller's own handle survives the reset.
+  if (!checkAndFinalize(R, nullptr, false, nullptr, /*Reset=*/true))
+    return false;
+  // One logical region ends and another begins in the same storage:
+  // the retiring incarnation folds exactly as a deletion's would, and
+  // the region stays live and listed.
+  foldRetired(R);
 
   // Every run is retained — growth runs and large-object runs alike;
   // nothing goes back to the source and every page-map entry stays.

@@ -687,8 +687,8 @@ public:
   ///
   /// Returns false (region untouched) when counted external references
   /// or live scanned locals remain, like deleteregion. Shared regions
-  /// must go through ParallelSpace::tryDelete instead — resetting a
-  /// region with a live SharedRegion binding is a fatal error.
+  /// must go through ParallelSpace::tryDelete instead — resetting (or
+  /// deleting) a region with a live SharedRegion binding is fatal.
   bool resetRegion(Region *R);
 
   const SafetyConfig &config() const { return Cfg; }
@@ -700,19 +700,13 @@ public:
     Cfg = NewCfg;
   }
 
-  /// Returns the aggregated statistics. Per-allocation counters are
-  /// kept region-local by the fast path and folded in here (and at
-  /// region deletion); the returned reference is a snapshot that stays
-  /// valid until the next stats() call but is not updated in place.
-  const RegionStats &stats() const;
+  /// Returns the aggregated statistics by value. Per-allocation
+  /// counters are kept region-local by the fast path and folded in here
+  /// (and at region retirement).
+  RegionStats stats() const;
 
-  /// Mutable access to the folded counters (used by the write barrier
-  /// and the deletion bookkeeping; per-allocation counters are deferred
-  /// and must not be adjusted here).
-  RegionStats &statsMutable() { return Stats; }
-
-  /// Aggregated rpool counters for every RegionPool over this manager.
-  const PoolStats &poolStats() const { return PoolCounters; }
+  /// Write access to the rpool counters for RegionPool; readers use
+  /// metrics().Pool.
   PoolStats &poolStatsMutable() { return PoolCounters; }
 
   /// Bytes this manager has requested from the OS (Figure 8's metric).
@@ -783,7 +777,17 @@ private:
   void *allocScannedSlow(Region *R, std::size_t Size, ScanThunk Thunk);
   void *allocLarge(Region *R, std::size_t Size, ScanThunk Thunk, bool Zeroed);
   void runCleanups(Region *R);
-  std::size_t freeRegionMemory(Region *R); ///< returns pages released
+  /// deleteregion's safety protocol (§4.2), shared by deleteRegionImpl
+  /// and resetRegion: flush pending counts, scan the stack, refuse while
+  /// any external reference other than the handle's is live (ticking
+  /// DeleteFailures, or ResetRefusals when \p Reset), then validate
+  /// hardened metadata and run the cleanups. True iff R may be retired.
+  bool checkAndFinalize(Region *R, void **HandleSlot, bool HandleCounted,
+                        const rt::SlotNode *HandleNode, bool Reset);
+  /// Folds a retiring incarnation into Stats and the rstat histograms.
+  void foldRetired(const Region *R);
+  /// Unlinks R from the live list and frees its runs; returns the pages.
+  std::size_t freeRegionMemory(Region *R);
   void setMapRange(const void *Page, std::size_t NumPages, Region *R);
 
   PageSource Source;
@@ -794,12 +798,11 @@ private:
   /// shares are summed on demand). Mutable so the const stats() can
   /// persist watermark samples.
   mutable RegionStats Stats;
-  mutable RegionStats StatsSnapshot; ///< storage for stats()'s result
-  PoolStats PoolCounters;            ///< rpool activity (region/Pool.h)
+  PoolStats PoolCounters; ///< rpool activity (region/Pool.h)
   Region *LiveHead = nullptr;
   unsigned NextRegionId = 0;
-  /// rstat histograms over *deleted* regions, bumped in
-  /// freeRegionMemory (a cold path — the histograms are region-
+  /// rstat histograms over *retired* regions, bumped in
+  /// foldRetired (a cold path — the histograms are region-
   /// granularity precisely so the allocation fast path stays
   /// untouched). Live regions' size classes are summed on demand by
   /// metrics(). Buckets are metricsBucket() of final requested bytes

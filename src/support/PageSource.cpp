@@ -62,9 +62,7 @@ void *PageSource::allocPages(std::size_t NumPages, bool *Zeroed) {
   if (Zeroed)
     *Zeroed = false; // recycled paths below hand out dirty pages
 
-  // Single-page recycle cache, then the exact-size bin.
-  if (NumPages == 1 && NumCachedPages != 0)
-    return pageAt(PageCache[--NumCachedPages]);
+  // Exact-size bin (LIFO: the most recently freed run is the warmest).
   if (NumPages <= kMaxBin && !Bins[NumPages].empty()) {
     std::uint32_t Idx = Bins[NumPages].back();
     Bins[NumPages].pop_back();
@@ -164,13 +162,6 @@ void *PageSource::takeFromLists(std::size_t NumPages) {
 
 bool PageSource::takeRunEndingAtFrontier(Run &Out) {
   const auto End = static_cast<std::uint32_t>(Frontier);
-  for (std::size_t I = 0; I != NumCachedPages; ++I) {
-    if (PageCache[I] + 1 == End) {
-      Out = {PageCache[I], 1};
-      PageCache[I] = PageCache[--NumCachedPages];
-      return true;
-    }
-  }
   for (std::size_t N = 1; N <= kMaxBin; ++N) {
     for (std::size_t I = 0, E = Bins[N].size(); I != E; ++I) {
       if (Bins[N][I] + N == End) {
@@ -199,10 +190,7 @@ void PageSource::coalesceFreeRuns() {
   // would otherwise grow the frontier past reusable space — the
   // per-free fast path stays one push.
   std::vector<Run> All;
-  All.reserve(NumCachedPages + LargeRuns.size() + 16);
-  for (std::size_t I = 0; I != NumCachedPages; ++I)
-    All.push_back({PageCache[I], 1});
-  NumCachedPages = 0;
+  All.reserve(LargeRuns.size() + 16);
   for (std::size_t N = 1; N <= kMaxBin; ++N) {
     for (std::uint32_t Idx : Bins[N])
       All.push_back({Idx, static_cast<std::uint32_t>(N)});
@@ -254,10 +242,6 @@ void PageSource::freePages(void *Ptr, std::size_t NumPages) {
 
 void PageSource::recycleRun(std::uint32_t PageIdx, std::size_t NumPages) {
   CoalesceDirty = true;
-  if (NumPages == 1 && NumCachedPages != kPageCacheCap) {
-    PageCache[NumCachedPages++] = PageIdx;
-    return;
-  }
   if (NumPages <= kMaxBin) {
     Bins[NumPages].push_back(PageIdx);
     return;
@@ -327,7 +311,6 @@ void PageSource::resetForTesting() {
   // bookkeeping, not the contents already written to the arena.
   Frontier = 0;
   PagesInUse = 0;
-  NumCachedPages = 0;
   CoalesceDirty = false;
   for (auto &Bin : Bins)
     Bin.clear();

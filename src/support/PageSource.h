@@ -21,9 +21,7 @@
 /// have never been touched, so MAP_ANONYMOUS guarantees they read as
 /// zero; allocPages reports this so clients (the region allocator's
 /// ZeroMemory path) can skip clearing them. Recycled pages are flagged
-/// dirty rather than re-zeroed. Single-page runs — the overwhelmingly
-/// common case for region pages — recycle through a small inline cache
-/// in front of the bins, avoiding the vector round-trip.
+/// dirty rather than re-zeroed.
 ///
 /// Coalescing: the free lists record runs at the length they were freed
 /// at, which would slowly shred the arena into run sizes that can no
@@ -36,7 +34,7 @@
 /// splitting from larger bins and, as a last resort, seeding the
 /// allocation with a free run that abuts the frontier so only the
 /// shortfall is new frontier growth. Free/alloc fast paths stay exactly
-/// one cache/bin operation.
+/// one bin operation.
 ///
 /// rsan quarantine (RGN_HARDEN builds, see support/Harden.h): when a
 /// source is given a non-zero quarantine budget, freed runs are
@@ -151,10 +149,6 @@ public:
   /// stay flagged dirty: the arena's contents are not rewound.
   void resetForTesting();
 
-  /// Number of single pages currently held in the inline recycle cache
-  /// (exposed for tests).
-  std::size_t cachedSinglePages() const { return NumCachedPages; }
-
   /// Pages ever handed out (the frontier), in pages rather than the
   /// bytes of osBytes() — rstat reports both views.
   std::size_t frontierPages() const { return Frontier; }
@@ -167,7 +161,7 @@ public:
   /// overflow, drainQuarantine, or a budget cut).
   std::size_t quarantineEvictions() const { return NumQuarantineEvictions; }
 
-  /// Pages sitting in the free lists (cache, bins, large-run list) —
+  /// Pages sitting in the free lists (bins and the large-run list) —
   /// the pool deferred coalescing can merge. Excludes quarantined runs,
   /// which are not free until evicted.
   std::size_t freeListedPages() const {
@@ -202,9 +196,6 @@ public:
   void releaseQuarantinedPages();
 
 private:
-  /// Inline recycle cache for single-page runs, tried before Bins[1].
-  static constexpr std::size_t kPageCacheCap = 64;
-
   struct Run {
     std::uint32_t PageIdx;
     std::uint32_t NumPages;
@@ -229,7 +220,7 @@ private:
   /// frontier growth so only the shortfall is newly handed-out space.
   bool takeRunEndingAtFrontier(Run &Out);
 
-  /// The pre-quarantine free path: cache, exact bin, or large list.
+  /// The pre-quarantine free path: exact bin or large list.
   void recycleRun(std::uint32_t PageIdx, std::size_t NumPages);
 
   /// Poisons \p NumPages pages at \p PageIdx and appends them to the
@@ -246,9 +237,7 @@ private:
   std::size_t Frontier = 0;   ///< pages [0, Frontier) have been handed out
   std::size_t PagesInUse = 0; ///< currently allocated pages
   std::size_t ZeroHighWater = 0; ///< pages >= this index were never touched
-  std::size_t NumCachedPages = 0;
   bool CoalesceDirty = false; ///< frees since the last coalesce sweep
-  std::uint32_t PageCache[kPageCacheCap]; ///< recycled single pages (LIFO)
   std::vector<std::uint32_t> Bins[kMaxBin + 1]; ///< Bins[n]: runs of n pages
   std::vector<Run> LargeRuns; ///< runs longer than kMaxBin pages
   // rsan quarantine state. The FIFO is a vector with a consuming head

@@ -166,6 +166,11 @@ struct AllocatorFactory {
   std::function<std::unique_ptr<MallocInterface>()> Make;
 };
 
+// Print the parameter by name. Without this gtest dumps the raw bytes,
+// which hold code and data addresses, so the listed test names would
+// change with every build and every ASLR layout.
+void PrintTo(const AllocatorFactory &F, std::ostream *OS) { *OS << F.Name; }
+
 class AllAllocatorsTest : public ::testing::TestWithParam<AllocatorFactory> {};
 
 TEST_P(AllAllocatorsTest, BasicRoundTrip) {

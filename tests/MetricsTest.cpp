@@ -43,7 +43,7 @@ TEST_F(MetricsTest, SnapshotMatchesStatsExactly) {
   EXPECT_TRUE(deleteRegion(B));
 
   const RegionStats &S = Mgr.stats();
-  rgn::MetricsSnapshot M = Mgr.metrics();
+  MetricsSnapshot M = Mgr.metrics();
   EXPECT_EQ(M.Stats.TotalAllocs, S.TotalAllocs);
   EXPECT_EQ(M.Stats.TotalRequestedBytes, S.TotalRequestedBytes);
   EXPECT_EQ(M.Stats.LiveRequestedBytes, S.LiveRequestedBytes);
@@ -75,9 +75,9 @@ TEST_F(MetricsTest, HistogramsCoverEveryRegionOnce) {
   RegionHandle Empty = Mgr.newRegion();
   EXPECT_TRUE(deleteRegion(Empty)); // bucket 0 (no bytes requested)
 
-  rgn::MetricsSnapshot M = Mgr.metrics();
+  MetricsSnapshot M = Mgr.metrics();
   std::uint64_t TotalInHist = 0, LiveInHist = 0, LifetimesInHist = 0;
-  for (unsigned I = 0; I != rgn::MetricsSnapshot::kLogBuckets; ++I) {
+  for (unsigned I = 0; I != MetricsSnapshot::kLogBuckets; ++I) {
     TotalInHist += M.RegionSizeClasses[I];
     LiveInHist += M.LiveRegionSizeClasses[I];
     LifetimesInHist += M.RegionLifetimes[I];
@@ -99,7 +99,7 @@ TEST_F(MetricsTest, LifetimeUsesLogicalClock) {
   // A region deleted before any sibling is created: lifetime 1.
   RegionHandle Short = Mgr.newRegion();
   EXPECT_TRUE(deleteRegion(Short));
-  rgn::MetricsSnapshot M = Mgr.metrics();
+  MetricsSnapshot M = Mgr.metrics();
   EXPECT_EQ(M.RegionLifetimes[1], 1u) << "lifetime 1 lands in bucket 1";
 
   // A region that outlives 7 siblings: lifetime 8, bucket 4.
@@ -117,7 +117,7 @@ TEST_F(MetricsTest, MetricsJsonRoundTripsThroughAFile) {
   Frame F;
   RegionHandle R = Mgr.newRegion();
   rnewArray<char>(R, 1000);
-  rgn::MetricsSnapshot M = Mgr.metrics();
+  MetricsSnapshot M = Mgr.metrics();
 
   std::string Path = ::testing::TempDir() + "rstat_metrics_test.json";
   ASSERT_TRUE(writeMetricsJson(M, Path.c_str()));

@@ -250,11 +250,8 @@ TEST_F(ParallelTest, ManyThreadsChurnOneSlot) {
       for (int I = 0; I != kIters; ++I) {
         // Each displaced value's count is dropped by the displacing
         // thread, so the slot's content is counted exactly once.
-        // Single-region slot: the hinted fast path is sound here (every
-        // value racing through is S's or null), and RGN_HARDEN verifies
-        // the hint against the resolution on every displacement.
         int *New = (I + T) % 2 ? Obj : nullptr;
-        Space.sharedExchange(Slot, New, New ? S : nullptr, S, Tid);
+        Space.sharedExchange(Slot, New, New ? S : nullptr, Tid);
       }
     });
   }
@@ -266,7 +263,7 @@ TEST_F(ParallelTest, ManyThreadsChurnOneSlot) {
       << "atomic exchange must keep the summed count exact";
   // Clear the slot and delete.
   unsigned Tid = Space.registerThread();
-  Space.sharedExchange<int>(Slot, nullptr, nullptr, S, Tid);
+  Space.sharedExchange<int>(Slot, nullptr, nullptr, Tid);
   EXPECT_EQ(S->totalCount(), 0);
   EXPECT_TRUE(Space.tryDelete(S));
 }

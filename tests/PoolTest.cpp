@@ -50,7 +50,7 @@ void serveRequest(RegionManager &Mgr, Region *R, std::size_t BodyBytes) {
 TEST_F(PoolTest, AcquireReusesTheReleasedRegionInPlace) {
   RegionPool Pool{Mgr};
   Region *R = Pool.acquire();
-  EXPECT_EQ(Mgr.poolStats().Misses, 1u); // cold: nothing cached yet
+  EXPECT_EQ(Mgr.metrics().Pool.Misses, 1u); // cold: nothing cached yet
   unsigned FirstId = R->id();
   serveRequest(Mgr, R, 16384);
   EXPECT_GT(R->allocCount(), 0u);
@@ -65,7 +65,7 @@ TEST_F(PoolTest, AcquireReusesTheReleasedRegionInPlace) {
   EXPECT_EQ(Again->allocCount(), 0u);
   EXPECT_EQ(Again->requestedBytes(), 0u);
   EXPECT_EQ(Again->referenceCount(), 0);
-  EXPECT_EQ(Mgr.poolStats().Hits, 1u);
+  EXPECT_EQ(Mgr.metrics().Pool.Hits, 1u);
   ASSERT_TRUE(Pool.release(Again));
 }
 
@@ -93,7 +93,7 @@ TEST_F(PoolTest, ChurnKeepsOsBytesFlatAcrossTenThousandRequests) {
         << "cycle " << Cycle << ": pooled churn must not touch the "
         << "Figure-8 osBytes high-water mark";
   }
-  EXPECT_EQ(Mgr.poolStats().Hits, 10002u); // every post-cold acquire hit
+  EXPECT_EQ(Mgr.metrics().Pool.Hits, 10002u); // every post-cold acquire hit
   EXPECT_EQ(Mgr.stats().ResetRegions, 10003u);
 }
 
@@ -152,8 +152,8 @@ TEST_F(PoolTest, RetentionBudgetTrimsOverflowToTheSource) {
   ASSERT_TRUE(Pool.release(C)); // evicts the oldest (A) to make room
   EXPECT_EQ(Pool.cachedRegions(), 2u);
   EXPECT_LE(Pool.retainedPages(), Cfg.MaxRetainedPages);
-  EXPECT_EQ(Mgr.poolStats().Trims, 1u);
-  EXPECT_EQ(Mgr.poolStats().Releases, 3u);
+  EXPECT_EQ(Mgr.metrics().Pool.Trims, 1u);
+  EXPECT_EQ(Mgr.metrics().Pool.Releases, 3u);
 
   // A region whose reservoir can never fit the budget is deleted
   // outright instead of parked — and without evicting warm entries it
@@ -165,7 +165,7 @@ TEST_F(PoolTest, RetentionBudgetTrimsOverflowToTheSource) {
   ASSERT_TRUE(Pool.release(Big));
   EXPECT_EQ(Pool.cachedRegions(), 1u) << "never parked, nothing evicted";
   EXPECT_EQ(Mgr.stats().LiveRegions, LiveBefore - 1) << "deleted instead";
-  EXPECT_EQ(Mgr.poolStats().Trims, 2u);
+  EXPECT_EQ(Mgr.metrics().Pool.Trims, 2u);
 
   std::uint64_t LiveBeforeTrim = Mgr.stats().LiveRegions;
   Pool.trimAll();
@@ -207,7 +207,7 @@ TEST_F(PoolTest, StatsAndMetricsPlumbing) {
       << "the retired incarnation's allocations stay in the totals";
 
   MetricsSnapshot M = Mgr.metrics();
-  EXPECT_EQ(M.Pool.Hits, Mgr.poolStats().Hits);
+  EXPECT_EQ(M.Pool.Hits, 0u);
   EXPECT_EQ(M.Pool.Misses, 1u);
   EXPECT_EQ(M.Pool.Releases, 1u);
   EXPECT_EQ(M.Stats.ResetRegions, 1u);
@@ -224,7 +224,7 @@ TEST_F(PoolTest, ZeroCostWhenUnused) {
   const RegionStats &S = Mgr.stats();
   EXPECT_EQ(S.ResetRegions, 0u);
   EXPECT_EQ(S.ResetRefusals, 0u);
-  const PoolStats &P = Mgr.poolStats();
+  PoolStats P = Mgr.metrics().Pool;
   EXPECT_EQ(P.Hits + P.Misses + P.Releases + P.Trims, 0u);
 }
 

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "region/Debug.h"
+#include "region/Metrics.h"
 #include "region/Regions.h"
 #include "support/Prng.h"
 
@@ -231,9 +232,10 @@ TEST_P(RegionPropertyTest, RandomScopeNestingBalances) {
 TEST_P(RegionPropertyTest, ResetMatchesDeletePlusNewObservably) {
   // rpool parity: a region recycled in place with resetRegion must be
   // observationally identical to one deleted and recreated — same
-  // stats totals, walkable Figure-7 pages, clean hardened metadata,
-  // and the same refusal protocol while counted references pend. Two
-  // managers run the same random workload, one per strategy.
+  // stats totals and rstat histograms, walkable Figure-7 pages, clean
+  // hardened metadata, and the same refusal protocol while counted
+  // references or live locals pend. Two managers run the same random
+  // workload, one per strategy.
   RegionManager MgrA{SafetyConfig::safeConfig(), std::size_t{128} << 20};
   RegionManager MgrB{SafetyConfig::safeConfig(), std::size_t{128} << 20};
   Prng Rng(GetParam() * 131 + 17);
@@ -272,9 +274,33 @@ TEST_P(RegionPropertyTest, ResetMatchesDeletePlusNewObservably) {
       B->rcAdd(-1);
     }
 
+    if (Rng.nextBool(0.4)) {
+      // A live local refuses a reset exactly as it refuses a deletion:
+      // in the top frame through the top-frame count, in a caller's
+      // frame through the stack scan. The raw deletion handle is not
+      // registered, so only the locals count.
+      rt::Frame Outer;
+      rt::RegionHandle LocalA = A;
+      rt::RegionHandle LocalB = B;
+      auto ExpectRefused = [&] {
+        EXPECT_FALSE(MgrA.resetRegion(A));
+        Region *Handle = B;
+        EXPECT_FALSE(MgrB.deleteRegionRaw(Handle));
+        EXPECT_EQ(Handle, B) << "refusal leaves the handle intact";
+      };
+      if (Rng.nextBool(0.5)) {
+        ExpectRefused();
+      } else {
+        rt::Frame Inner;
+        ExpectRefused();
+      }
+      EXPECT_GT(A->allocCount(), 0u) << "refused reset changes nothing";
+    }
+
     RsanReport Before = rsanCheckRegion(A);
-    if (Before.Checked)
+    if (Before.Checked) {
       EXPECT_TRUE(Before.clean()) << "round " << Round << " pre-reset";
+    }
 
     ASSERT_TRUE(MgrA.resetRegion(A));
     ASSERT_TRUE(MgrB.deleteRegionRaw(B));
@@ -283,8 +309,9 @@ TEST_P(RegionPropertyTest, ResetMatchesDeletePlusNewObservably) {
     // The recycled region reads as freshly created: empty, clean
     // metadata, and a terminating Figure-7 walk over the reset page.
     RsanReport After = rsanCheckRegion(A);
-    if (After.Checked)
+    if (After.Checked) {
       EXPECT_TRUE(After.clean()) << "round " << Round << " post-reset";
+    }
     EXPECT_EQ(A->allocCount(), 0u);
     EXPECT_EQ(A->requestedBytes(), 0u);
     EXPECT_EQ(A->referenceCount(), 0);
@@ -297,9 +324,21 @@ TEST_P(RegionPropertyTest, ResetMatchesDeletePlusNewObservably) {
     ASSERT_EQ(SA.TotalAllocs, SB.TotalAllocs);
     ASSERT_EQ(SA.TotalRequestedBytes, SB.TotalRequestedBytes);
     ASSERT_EQ(SA.MaxRegionBytes, SB.MaxRegionBytes);
+    ASSERT_EQ(SA.MaxLiveRequestedBytes, SB.MaxLiveRequestedBytes);
+    ASSERT_EQ(SA.CleanupThunksRun, SB.CleanupThunksRun);
     ASSERT_EQ(SA.BarrierStores, SB.BarrierStores);
+    ASSERT_EQ(SA.BarrierSameRegion, SB.BarrierSameRegion);
+    ASSERT_EQ(SA.BarrierAdjustments, SB.BarrierAdjustments);
     ASSERT_EQ(SA.ResetRefusals, SB.DeleteFailures)
         << "each strategy's refusals tick its own counter in lockstep";
+    const MetricsSnapshot MA = MgrA.metrics();
+    const MetricsSnapshot MB = MgrB.metrics();
+    for (unsigned I = 0; I != MetricsSnapshot::kLogBuckets; ++I) {
+      ASSERT_EQ(MA.RegionSizeClasses[I], MB.RegionSizeClasses[I])
+          << "size-class bucket " << I;
+      ASSERT_EQ(MA.RegionLifetimes[I], MB.RegionLifetimes[I])
+          << "lifetime bucket " << I;
+    }
   }
   // Final deletion proves the recycled region's pages walk to their
   // end markers one last time (the cleanup scan traverses them all).

@@ -332,6 +332,17 @@ TEST_F(RegionTest, StatsCountAllocations) {
   EXPECT_EQ(S.TotalRequestedBytes, sizeof(int) + 10 * sizeof(int) + 4);
 }
 
+TEST_F(RegionTest, StatsResultsDoNotAlias) {
+  // stats() returns by value: a reference bound to an earlier result
+  // keeps that snapshot instead of silently tracking later calls.
+  const RegionStats &Before = Mgr.stats();
+  Region *R = Mgr.newRegion();
+  const RegionStats &After = Mgr.stats();
+  EXPECT_EQ(After.TotalRegions, Before.TotalRegions + 1);
+  EXPECT_EQ(After.LiveRegions, Before.LiveRegions + 1);
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+}
+
 TEST_F(RegionTest, StatsTrackRegionLifecycle) {
   Region *A = Mgr.newRegion();
   Region *B = Mgr.newRegion();

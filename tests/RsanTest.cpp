@@ -400,26 +400,6 @@ TEST(RsanDeathTest, StaleSharedRegionHandleFatal) {
   EXPECT_DEATH(Space.dropRef(S, Tid), "retired SharedRegion");
 }
 
-TEST(RsanDeathTest, SharedExchangeHintMismatchFatal) {
-  // The hinted fast path asserts that whatever it displaces belongs to
-  // the named region. A slot that actually carried another region's
-  // value is exactly the cross-region race the resolving overload
-  // exists for — harden re-resolves the displaced value and aborts.
-  par::ParallelSpace Space;
-  RegionManager Mgr(SafetyConfig::unsafeConfig());
-  unsigned Tid = Space.registerThread();
-  par::SharedRegion *SA = Space.share(Mgr.newRegion());
-  par::SharedRegion *SB = Space.share(Mgr.newRegion());
-  int *InA = rnew<int>(SA->region(), 1);
-  std::atomic<int *> Slot{nullptr};
-  Space.sharedExchange(Slot, InA, SA, Tid);
-  EXPECT_DEATH(Space.sharedExchange<int>(Slot, nullptr, nullptr, SB, Tid),
-               "hint names the wrong region");
-  Space.sharedExchange<int>(Slot, nullptr, nullptr, Tid);
-  ASSERT_TRUE(Space.tryDelete(SA));
-  ASSERT_TRUE(Space.tryDelete(SB));
-}
-
 #endif // RGN_HARDEN_ENABLED
 
 } // namespace

@@ -296,11 +296,11 @@ TEST(PageSourceTest, SinglePageCacheIsLifo) {
   S.freePages(A, 1);
   S.freePages(B, 1);
   S.freePages(C, 1);
-  EXPECT_EQ(S.cachedSinglePages(), 3u);
+  EXPECT_EQ(S.freeListedPages(), 3u);
   EXPECT_EQ(S.allocPages(1), C) << "most recently freed page reused first";
   EXPECT_EQ(S.allocPages(1), B);
   EXPECT_EQ(S.allocPages(1), A);
-  EXPECT_EQ(S.cachedSinglePages(), 0u);
+  EXPECT_EQ(S.freeListedPages(), 0u);
 }
 
 TEST(PageSourceTest, ResetPreservesDirtyTracking) {
@@ -309,7 +309,7 @@ TEST(PageSourceTest, ResetPreservesDirtyTracking) {
   std::memset(P, 0x5a, kPageSize);
   S.resetForTesting();
   EXPECT_EQ(S.inUseBytes(), 0u);
-  EXPECT_EQ(S.cachedSinglePages(), 0u);
+  EXPECT_EQ(S.freeListedPages(), 0u);
   // The rewound frontier hands back the same page, but its contents
   // were never rewritten: it must not be reported zeroed.
   bool Zeroed = true;
@@ -418,7 +418,6 @@ TEST(PageSourceTest, ResetClearsCoalescingStateAndZeroGuarantees) {
   S.resetForTesting();
   EXPECT_EQ(S.inUseBytes(), 0u);
   EXPECT_EQ(S.osBytes(), 0u);
-  EXPECT_EQ(S.cachedSinglePages(), 0u);
   EXPECT_EQ(S.freeListedPages(), 0u) << "no free-listed runs may survive reset";
   S.coalesceFreeRuns(); // must be a no-op on the clean state
   EXPECT_EQ(S.freeListedPages(), 0u);

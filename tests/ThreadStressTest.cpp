@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "region/Metrics.h"
 #include "region/Parallel.h"
 #include "region/Pool.h"
 #include "region/Regions.h"
@@ -167,11 +168,9 @@ TEST(ThreadStressTest, SharedExchangeRacesStayBalanced) {
       par::ThreadSlot Tid(Space);
       for (int I = 0; I != kRounds; ++I) {
         // Install: new value is in S, displaced value (if any) too.
-        Space.sharedExchange(Slot, Obj, S, S, Tid);
+        Space.sharedExchange(Slot, Obj, S, Tid);
         // Clear: new value is non-region null, displaced may be in S.
-        Space.sharedExchange(Slot, static_cast<int *>(nullptr),
-                             static_cast<par::SharedRegion *>(nullptr), S,
-                             Tid);
+        Space.sharedExchange<int>(Slot, nullptr, nullptr, Tid);
       }
     });
   for (std::thread &T : Threads)
@@ -489,7 +488,7 @@ TEST(ThreadStressTest, ConcurrentPoolChurnStaysExact) {
         if (!Pool.release(R))
           Failures.fetch_add(1, std::memory_order_relaxed);
       }
-      const PoolStats &P = Mgr.poolStats();
+      PoolStats P = Mgr.metrics().Pool;
       // Cold miss on the first acquire, hits ever after; every release
       // parked (the default budget dwarfs this footprint).
       if (P.Misses != 1 || P.Hits != std::uint64_t{kRequests} - 1 ||
