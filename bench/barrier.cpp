@@ -5,8 +5,7 @@
 // Isolates the cost of the safe-mode reference-count machinery on
 // pointer stores — the Figure 5 write barrier and its static/deferred
 // shortcuts. Each benchmark reports items_per_second so ns/op can be
-// read directly; bench/run_benchmarks.sh distils the results into
-// BENCH_barrier.json.
+// read directly (e.g. `./build/bench/barrier --benchmark_format=json`).
 //
 // The cost ladder, fastest to slowest:
 //   raw pointer store                 (no safety; the floor)

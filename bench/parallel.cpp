@@ -7,9 +7,8 @@
 // region creation and deletion need global synchronization), thread
 // slot register/unregister churn, and the synchronized create/delete
 // path itself. Each benchmark reports items_per_second so ns/op can be
-// read directly; bench/run_benchmarks.sh distils the results into
-// BENCH_parallel.json — this file is the source of those published
-// numbers, which must come from a Release build.
+// read directly (e.g. `./build/bench/parallel --benchmark_format=json`);
+// quote numbers from a Release build only.
 //
 //===----------------------------------------------------------------------===//
 

@@ -21,9 +21,8 @@
 // delta is pure lifecycle cost, not cleanup-thunk execution. Each
 // benchmark thread runs its own manager (and pool) — the library's
 // threading model — so threads:N rows scale workers, not contention
-// on one arena. ns/request is items_per_second inverted by
-// distil_benchmarks.py; osBytes flatness across pooled churn is
-// test-enforced in PoolTest.
+// on one arena. ns/request is the inverse of items_per_second;
+// osBytes flatness across pooled churn is test-enforced in PoolTest.
 //
 //===----------------------------------------------------------------------===//
 

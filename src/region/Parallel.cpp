@@ -14,67 +14,7 @@
 using namespace regions;
 using namespace regions::par;
 
-namespace {
-
-/// Per-thread magazine of retired SharedRegion records (lean builds
-/// only): tryDelete stashes the record it just retired here, and the
-/// same thread's next share() takes it back without touching the shard
-/// lock for the pop-and-prep half of record reuse. The share/delete
-/// cycle of a request-serving thread then recycles one record
-/// thread-locally instead of bouncing it through the shard FreePool.
-///
-/// The magazine binds to one ParallelSpace at a time (records are not
-/// interchangeable across spaces), binds only in registerThread — the
-/// one point whose contract guarantees the matching unregisterThread
-/// flush — and rebinds only when empty. Like
-/// PendingCountBuffer it is constinit, aggregate, and trivially
-/// destructible, so the probe is one guard-free TLS load;
-/// unregisterThread flushes it back to a shard FreePool (ThreadSlot's
-/// RAII covers worker threads) and ~ParallelSpace flushes the
-/// destroying thread's own magazine. Hardened builds never pool
-/// records at all (stale handles must keep finding Deleted set), so
-/// the magazine is compiled out with the same kRsanEnabled switch.
-struct RecordMagazine {
-  static constexpr unsigned kCap = 4;
-  ParallelSpace *Space;
-  SharedRegion *Head; ///< chained through NextFree
-  unsigned Count;
-};
-
-thread_local RGN_CONSTINIT RecordMagazine GMagazine;
-
-} // namespace
-
-void ParallelSpace::prepareRecord(SharedRegion *S, unsigned Want) {
-  if (S->NumSlots < Want) {
-    delete[] S->Local;
-    S->Local = new SharedRegion::PaddedCount[Want];
-    S->NumSlots = Want;
-  } else {
-    for (unsigned I = 0; I != S->NumSlots; ++I)
-      S->Local[I].Count.store(0, std::memory_order_relaxed);
-  }
-  S->Detached.store(0, std::memory_order_relaxed);
-  S->Deleting.store(false, std::memory_order_relaxed);
-  S->Deleted.store(false, std::memory_order_release);
-}
-
 ParallelSpace::~ParallelSpace() {
-  // Reclaim the destroying thread's own magazine before the shard
-  // pools: its records belong to this space and are reachable nowhere
-  // else. (Other threads must have unregistered already — ThreadSlot
-  // guarantees it — which flushed their magazines into the pools.)
-  if constexpr (!detail::kRsanEnabled) {
-    RecordMagazine &M = GMagazine;
-    if (M.Space == this) {
-      while (SharedRegion *S = M.Head) {
-        M.Head = S->NextFree;
-        delete S;
-      }
-      M.Count = 0;
-      M.Space = nullptr;
-    }
-  }
   for (Shard &Sh : Shards) {
     std::lock_guard<std::mutex> Guard(Sh.Lock);
     for (SharedRegion *S : Sh.Regions) {
@@ -121,17 +61,6 @@ unsigned ParallelSpace::registerThread() {
   // rstat lazy attach: worker threads usually reach the library first
   // through here. No-op (one relaxed load) when tracing is disarmed.
   rstat::attachThread();
-  // Bind this thread's record magazine: registration is the one point
-  // where the flush is guaranteed (unregisterThread, via ThreadSlot's
-  // RAII for workers), so only registered threads may stash retired
-  // records thread-locally. An empty magazine may rebind; one holding
-  // another space's records keeps its binding (and that space's
-  // records stay out of ours).
-  if constexpr (!detail::kRsanEnabled) {
-    RecordMagazine &M = GMagazine;
-    if (M.Count == 0)
-      M.Space = this;
-  }
   std::lock_guard<std::mutex> Guard(RegLock);
   if (!FreeTids.empty()) {
     unsigned Tid = FreeTids.back();
@@ -168,27 +97,6 @@ void ParallelSpace::unregisterThread(unsigned Tid) {
         S->Detached.fetch_add(Balance, std::memory_order_relaxed);
     }
   }
-  // Flush this thread's record magazine back to a shard pool: the
-  // records must outlive the thread (the space owns them), and a
-  // dangling space binding must not survive into whatever this thread
-  // does next. Records are shard-agnostic — Index is reassigned at
-  // share — so any pool can absorb them.
-  if constexpr (!detail::kRsanEnabled) {
-    RecordMagazine &M = GMagazine;
-    if (M.Space == this) {
-      if (M.Head) {
-        Shard &Sh = Shards[0];
-        std::lock_guard<std::mutex> Guard(Sh.Lock);
-        while (SharedRegion *S = M.Head) {
-          M.Head = S->NextFree;
-          S->NextFree = Sh.FreePool;
-          Sh.FreePool = S;
-        }
-      }
-      M.Count = 0;
-      M.Space = nullptr;
-    }
-  }
   // Only after the banking walk may the index be reissued: a new
   // thread starting on this slot must never race the exchange above.
   std::lock_guard<std::mutex> Guard(RegLock);
@@ -206,35 +114,31 @@ SharedRegion *ParallelSpace::share(Region *R) {
   // than that fold into Detached.
   unsigned Registered = NextThread.load(std::memory_order_relaxed);
   unsigned Want = Registered > kMinCountSlots ? Registered : kMinCountSlots;
-  // Record reuse, fastest source first: this thread's magazine (no
-  // lock at all — the pop *and* the reset run outside the shard lock),
-  // then the shard FreePool, then a fresh allocation.
-  SharedRegion *S = nullptr;
-  if constexpr (!detail::kRsanEnabled) {
-    RecordMagazine &M = GMagazine;
-    if (M.Space == this && M.Head) {
-      S = M.Head;
-      M.Head = S->NextFree;
-      --M.Count;
-      S->NextFree = nullptr;
-      prepareRecord(S, Want);
-    }
-  }
+  // Record reuse: the shard FreePool first, then a fresh allocation.
+  // A record is born in R's shard and only ever pooled back into it, so
+  // its ShardIdx never changes after this allocation.
   unsigned ShardIdx = shardOf(R);
   Shard &Sh = Shards[ShardIdx];
   std::lock_guard<std::mutex> Guard(Sh.Lock);
-  if (!S) {
-    S = Sh.FreePool;
-    if (S) {
-      Sh.FreePool = S->NextFree;
-      S->NextFree = nullptr;
-      prepareRecord(S, Want);
-    } else {
-      S = new SharedRegion();
-      S->Local = new SharedRegion::PaddedCount[Want];
-      S->NumSlots = Want;
-    }
+  SharedRegion *S = Sh.FreePool;
+  if (S) {
+    Sh.FreePool = S->NextFree;
+    S->NextFree = nullptr;
+  } else {
+    S = new SharedRegion();
+    S->ShardIdx = ShardIdx;
   }
+  if (S->NumSlots < Want) {
+    delete[] S->Local;
+    S->Local = new SharedRegion::PaddedCount[Want];
+    S->NumSlots = Want;
+  } else {
+    for (unsigned I = 0; I != S->NumSlots; ++I)
+      S->Local[I].Count.store(0, std::memory_order_relaxed);
+  }
+  S->Detached.store(0, std::memory_order_relaxed);
+  S->Deleting.store(false, std::memory_order_relaxed);
+  S->Deleted.store(false, std::memory_order_release);
   S->R = R;
   S->RegionId = R->id();
   // Publish the Region → record binding resolving exchanges walk. The
@@ -261,7 +165,9 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   detail::flushPendingCounts();
   if (S->Deleted.load(std::memory_order_acquire))
     return false;
-  Shard &Sh = Shards[shardOf(S->R)];
+  // The record's shard, not R's: ShardIdx is fixed at allocation,
+  // while a racing winner nulls S->R through deleteRegionRaw.
+  Shard &Sh = Shards[S->ShardIdx];
   // Optimistic refusal: a visibly non-zero relaxed sum means this call
   // could only refuse, so refuse without a lock. Polling threads
   // ("is the request region dead yet?") pay reads only and never
@@ -352,22 +258,8 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
     S->NextFree = Sh.Retired;
     Sh.Retired = S;
   } else {
-    // Stash into the deleting thread's magazine when it has room: the
-    // common share→work→tryDelete loop then recycles the record with
-    // no shard-pool traffic at all. Only registered threads carry a
-    // bound magazine (registerThread binds, unregisterThread flushes —
-    // a raw deleter thread that exits without unregistering would
-    // strand stashed records forever), and one holding another
-    // space's records must not mix.
-    RecordMagazine &M = GMagazine;
-    if (M.Space == this && M.Count < RecordMagazine::kCap) {
-      S->NextFree = M.Head;
-      M.Head = S;
-      ++M.Count;
-    } else {
-      S->NextFree = Sh.FreePool;
-      Sh.FreePool = S;
-    }
+    S->NextFree = Sh.FreePool;
+    Sh.FreePool = S;
   }
   rstat::traceEvent(rstat::EventKind::TryDeleteOk, S->RegionId,
                     static_cast<std::uint32_t>(&Sh - Shards));

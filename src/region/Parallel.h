@@ -157,6 +157,10 @@ private:
   PaddedCount *Local = nullptr; ///< owned array of NumSlots entries
   unsigned NumSlots = 0;
   unsigned RegionId = 0;  ///< cached R->id(): traceable after R dies
+  /// The shard that allocated this record and pools it. Set once, under
+  /// that shard's lock, before the record is first published; records
+  /// never change shard, so tryDelete finds its lock without reading R.
+  unsigned ShardIdx = 0;
   std::size_t Index = 0;  ///< position in the owning shard's live list
   SharedRegion *NextFree = nullptr; ///< free-list link while pooled
   /// Catch-all count: threads whose slot index is outside Local, plus
@@ -405,12 +409,6 @@ private:
             "(stale shared-region handle)");
     }
   }
-
-  /// Readies a pooled record for its next share: counts zeroed (or the
-  /// slot array regrown), Detached/Deleting cleared, Deleted cleared
-  /// last with release. Runs outside the shard lock on the magazine
-  /// reuse path (Parallel.cpp), under it on the FreePool path.
-  static void prepareRecord(SharedRegion *S, unsigned Want);
 
   /// Where thread \p Tid's adjustments to \p S accumulate: a private
   /// padded slot when the index fits S's array, the shared detached

@@ -15,44 +15,23 @@
 
 using namespace regions;
 
-#if defined(RGN_HUGEPAGES) && RGN_HUGEPAGES
-// Transparent-huge-page granule on x86-64 and aarch64 (4K granule).
-static constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
-#endif
-
 PageSource::PageSource(std::size_t ReserveBytes) {
   TotalPages = alignTo(ReserveBytes, kPageSize) / kPageSize;
-  std::size_t ArenaBytes = TotalPages * kPageSize;
-  MapBytes = ArenaBytes;
-#if defined(RGN_HUGEPAGES) && RGN_HUGEPAGES
-  // Over-reserve by one huge page so the arena proper can start on a
-  // 2 MB boundary — THP only backs regions whose virtual start is
-  // huge-page aligned.
-  MapBytes += kHugePageBytes;
-#endif
-  void *Mem = mmap(nullptr, MapBytes, PROT_READ | PROT_WRITE,
+  void *Mem = mmap(nullptr, TotalPages * kPageSize, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (Mem == MAP_FAILED)
     reportFatalError("PageSource: cannot reserve arena");
-  MapBase = static_cast<char *>(Mem);
-  ArenaBase = MapBase;
-#if defined(RGN_HUGEPAGES) && RGN_HUGEPAGES
-  ArenaBase = reinterpret_cast<char *>(
-      alignTo(reinterpret_cast<std::uintptr_t>(MapBase), kHugePageBytes));
-#ifdef MADV_HUGEPAGE
-  madvise(ArenaBase, ArenaBytes, MADV_HUGEPAGE);
-#endif
-#endif
+  ArenaBase = static_cast<char *>(Mem);
 }
 
 PageSource::~PageSource() {
-  if (MapBase) {
+  if (ArenaBase) {
     // ASan's shadow is not cleared by munmap: a later mmap that lands
     // on this address range would inherit the quarantine/red-zone
     // poison and trap on its first legitimate access. Clear the whole
     // arena's shadow before giving the range back to the OS.
     RGN_ASAN_UNPOISON(ArenaBase, TotalPages * kPageSize);
-    munmap(MapBase, MapBytes);
+    munmap(ArenaBase, TotalPages * kPageSize);
   }
 }
 

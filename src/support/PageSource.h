@@ -50,11 +50,6 @@
 /// already puts it below the zero high-water mark for good. Quarantined
 /// runs never coalesce — they are not free until evicted.
 ///
-/// Huge pages (CMake option RGN_HUGEPAGES): the reservation is 2 MB-
-/// aligned and madvise(MADV_HUGEPAGE)d so the kernel can back the arena
-/// with transparent huge pages, shrinking the TLB footprint of the page
-/// map and of large-region payload walks.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUPPORT_PAGESOURCE_H
@@ -230,8 +225,6 @@ private:
   /// Unpoisons (ASan) and recycles the oldest quarantined run.
   void evictOldestQuarantined();
 
-  char *MapBase = nullptr;    ///< raw mapping (ArenaBase when unaligned)
-  std::size_t MapBytes = 0;   ///< raw mapping length
   char *ArenaBase = nullptr;
   std::size_t TotalPages = 0;
   std::size_t Frontier = 0;   ///< pages [0, Frontier) have been handed out

@@ -383,22 +383,40 @@ TEST_F(ParallelTest, ManyRegionsAcrossShardsDeleteInAnyOrder) {
 }
 
 #if !RGN_HARDEN_ENABLED
-TEST_F(ParallelTest, RecordMagazineRecyclesOnRegisteredThreads) {
-  // The TLS record magazine binds only in registerThread, whose
-  // unregisterThread contract guarantees the flush — a raw deleter
-  // thread could exit with stashed records and strand them (found by
-  // LeakSanitizer), so unregistered threads route retired records to
-  // the shard pool instead. A registered thread's share→tryDelete→
-  // share cycle must recycle the identical record thread-locally.
+TEST_F(ParallelTest, RetiredRecordsStayInTheirShard) {
+  // A retired record is pooled in the shard that allocated it and only
+  // that shard's next share() reuses it: its shard index is fixed, so
+  // tryDelete can find the lock without reading the record's region.
+  // A region hashing to another shard must get a different record.
   // (Hardened builds never pool records at all.)
   RegionManager Mgr{SafetyConfig::unsafeConfig()};
   unsigned Tid = Space.registerThread();
-  SharedRegion *First = Space.share(Mgr.newRegion());
+  Region *R = Mgr.newRegion();
+  unsigned Home = ParallelSpace::shardOf(R);
+  SharedRegion *First = Space.share(R);
   ASSERT_TRUE(Space.tryDelete(First));
-  SharedRegion *Second = Space.share(Mgr.newRegion());
-  EXPECT_EQ(Second, First)
-      << "registered thread must recycle its magazine-stashed record";
-  ASSERT_TRUE(Space.tryDelete(Second));
+  // Keep candidate regions live so each one takes a fresh page.
+  std::vector<Region *> Kept;
+  Region *Other = nullptr, *Same = nullptr;
+  while (!Other || !Same) {
+    Region *C = Mgr.newRegion();
+    Kept.push_back(C);
+    if (ParallelSpace::shardOf(C) == Home) {
+      if (!Same)
+        Same = C;
+    } else if (!Other) {
+      Other = C;
+    }
+  }
+  SharedRegion *Away = Space.share(Other);
+  EXPECT_NE(Away, First) << "a record must not cross shards";
+  SharedRegion *Back = Space.share(Same);
+  EXPECT_EQ(Back, First) << "a retired record must serve its own shard";
+  ASSERT_TRUE(Space.tryDelete(Away));
+  ASSERT_TRUE(Space.tryDelete(Back));
+  for (Region *C : Kept)
+    if (C != Other && C != Same)
+      Mgr.deleteRegionRaw(C);
   Space.unregisterThread(Tid);
 }
 #endif

@@ -459,6 +459,64 @@ TEST(ThreadStressTest, QuiescedManagersRetiredByRacingWorkers) {
         << "every quiesced manager fully drained by non-owners";
 }
 
+TEST(ThreadStressTest, QuiescedZeroCountRecordsRacingDeleters) {
+  // Every deleter of a zero-count record of a quiesced manager passes
+  // the lock-free sum check at once, so all of them race the winner's
+  // destructive step, which nulls the record's region pointer through
+  // deleteRegionRaw. The losers must reach their shard (and their
+  // refusal) without reading that pointer. A per-region start gate
+  // lines the deleters up on the same record.
+  par::ParallelSpace Space;
+  constexpr int kOwners = 2;
+  constexpr int kRegionsPer = 64;
+  constexpr int kTotal = kOwners * kRegionsPer;
+  std::unique_ptr<RegionManager> Managers[kOwners];
+  par::SharedRegion *Shared[kTotal];
+  {
+    std::vector<std::thread> Owners;
+    for (int O = 0; O != kOwners; ++O)
+      Owners.emplace_back([&, O] {
+        Managers[O] = std::make_unique<RegionManager>(
+            SafetyConfig::unsafeConfig(), std::size_t{64} << 20);
+        for (int R = 0; R != kRegionsPer; ++R)
+          Shared[O * kRegionsPer + R] = Space.share(Managers[O]->newRegion());
+        Space.quiesce(*Managers[O]);
+      });
+    for (std::thread &T : Owners)
+      T.join();
+  }
+
+  constexpr int kWorkers = 4;
+  std::atomic<int> Arrived{0};
+  std::atomic<int> Wins[kTotal] = {};
+  {
+    std::vector<std::thread> Workers;
+    for (int W = 0; W != kWorkers; ++W)
+      Workers.emplace_back([&] {
+        par::ThreadSlot Tid(Space);
+        for (int I = 0; I != kTotal; ++I) {
+          Arrived.fetch_add(1);
+          // Spin, not yield: a yielding waiter wakes after the
+          // first deleter has already won, and the race never opens.
+          // Yield only if the gate stays shut for long (oversubscribed
+          // runners).
+          for (unsigned Spins = 0; Arrived.load() < (I + 1) * kWorkers;)
+            if (++Spins % (1u << 16) == 0)
+              std::this_thread::yield();
+          if (Space.tryDelete(Shared[I]))
+            Wins[I].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    for (std::thread &T : Workers)
+      T.join();
+  }
+  for (int I = 0; I != kTotal; ++I)
+    EXPECT_EQ(Wins[I].load(), 1) << "exactly one winner for region " << I;
+  EXPECT_EQ(Space.liveSharedRegions(), 0u);
+  for (int O = 0; O != kOwners; ++O)
+    EXPECT_EQ(Managers[O]->liveRegionCount(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Armed tracing under churn
 //===----------------------------------------------------------------------===//
