@@ -147,10 +147,10 @@ void BM_ThreadRegistration(benchmark::State &State) {
 }
 BENCHMARK(BM_ThreadRegistration)->Threads(1)->Threads(2)->Threads(4);
 
-/// Failed deletion attempts under contention: tryDelete synchronizes,
-/// flushes the caller's buffered counts, and sums every local count
-/// before giving up (a detached reference keeps the sum at one). This
-/// is the cost of *checking* the paper's deletion condition.
+/// Failed deletion attempts under contention: tryDelete synchronizes
+/// and sums every local count before giving up (a detached reference
+/// keeps the sum at one). This is the cost of *checking* the paper's
+/// deletion condition.
 void BM_TryDeleteContended(benchmark::State &State) {
   constexpr int kTryBatch = 64;
   if (State.thread_index() == 0) {

@@ -24,7 +24,6 @@ EVENT_NAMES = {
     "run-grab",
     "run-free",
     "coalesce-sweep",
-    "pending-flush",
     "quarantine-evict",
     "share",
     "trydelete",

@@ -8,7 +8,7 @@
 //    Table 2/3 counters plus size-class and lifetime histograms,
 //    printable as tables or JSON;
 //  * runtime-armed event tracing — newregion/deleteregion, page-run
-//    traffic, pending-count flushes — exported as Chrome trace JSON
+//    traffic, coalesce sweeps — exported as Chrome trace JSON
 //    (open rstat_example_trace.json in Perfetto or chrome://tracing);
 //  * heap introspection (dumpHeap) — live regions, their page runs and
 //    bump state, for debugging a refused deleteregion.

@@ -6,8 +6,8 @@
 // finding stale pointers that prevent a region from being deleted; an
 // environment for debugging regions would be helpful here." This
 // example is that environment in action: a refused deletion is
-// diagnosed down to the exact stale local, plus the manager report and
-// the mud disassembler for compiler debugging.
+// diagnosed down to the exact stale local, plus the manager's metrics
+// table and the mud disassembler for compiler debugging.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 #include "mudlle/Compiler.h"
 #include "mudlle/Disasm.h"
 #include "mudlle/Parser.h"
+#include "region/Metrics.h"
 #include "region/Regions.h"
 
 #include <cstdio>
@@ -78,7 +79,7 @@ int main() {
   huntStalePointer(Mgr);
   inspectCompilerOutput();
 
-  std::printf("\n-- manager report --\n");
-  printManagerReport(Mgr);
+  std::printf("\n-- manager metrics --\n");
+  printMetrics(Mgr.metrics());
   return Mgr.liveRegionCount() == 0 ? 0 : 1;
 }

@@ -77,30 +77,6 @@ void regions::printDiagnosis(const DeletionDiagnosis &D, Region *R,
                  D.BlockingStackValues[I]);
 }
 
-void regions::printManagerReport(const RegionManager &Mgr, std::FILE *Out) {
-  const RegionStats &S = Mgr.stats();
-  std::fprintf(Out, "RegionManager report\n");
-  std::fprintf(Out, "  config: refcounts=%d stackscan=%d cleanup=%d "
-                    "zero=%d\n",
-               Mgr.config().RefCounts, Mgr.config().StackScan,
-               Mgr.config().CleanupScan, Mgr.config().ZeroMemory);
-  std::fprintf(Out, "  regions: %" PRIu64 " total, %" PRIu64
-                    " live (max %" PRIu64 ")\n",
-               S.TotalRegions, S.LiveRegions, S.MaxLiveRegions);
-  std::fprintf(Out, "  allocations: %" PRIu64 " (%" PRIu64
-                    " bytes requested, max live %" PRIu64 ")\n",
-               S.TotalAllocs, S.TotalRequestedBytes,
-               S.MaxLiveRequestedBytes);
-  std::fprintf(Out, "  os memory: %zu bytes\n", Mgr.osBytes());
-  std::fprintf(Out, "  deletions: %" PRIu64 " attempts, %" PRIu64
-                    " refused\n",
-               S.DeleteAttempts, S.DeleteFailures);
-  std::fprintf(Out, "  barriers: %" PRIu64 " stores, %" PRIu64
-                    " sameregion, %" PRIu64 " count adjustments\n",
-               S.BarrierStores, S.BarrierSameRegion, S.BarrierAdjustments);
-  std::fprintf(Out, "  cleanups run: %" PRIu64 "\n", S.CleanupThunksRun);
-}
-
 void regions::printRsanReport(const RsanReport &Rep, const Region *R,
                               std::FILE *Out) {
   if (!Rep.Checked) {

@@ -66,9 +66,6 @@ inline DeletionDiagnosis diagnoseDeletion(Region *R) {
 void printDiagnosis(const DeletionDiagnosis &D, Region *R,
                     std::FILE *Out = stderr);
 
-/// Prints a one-page summary of a manager's statistics.
-void printManagerReport(const RegionManager &Mgr, std::FILE *Out = stdout);
-
 /// On-demand rsan validation of one live region (RGN_HARDEN builds;
 /// see support/Harden.h): walks every allocation's size header and
 /// red-zone canary without mutating the region. Without RGN_HARDEN

@@ -180,9 +180,6 @@ void regions::printMetrics(const MetricsSnapshot &M, std::FILE *Out) {
 }
 
 void RegionManager::dumpHeap(std::FILE *Out) const {
-  // Exact counts: land this thread's buffered ±1 deltas first.
-  detail::flushPendingCounts();
-
   std::fprintf(Out, "== heap dump: %" PRIu64 " live region(s), %zu/%zu pages"
                     " in use ==\n",
                static_cast<std::uint64_t>(Stats.LiveRegions),

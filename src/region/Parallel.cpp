@@ -158,11 +158,6 @@ SharedRegion *ParallelSpace::share(Region *R) {
 }
 
 bool ParallelSpace::tryDelete(SharedRegion *S) {
-  // Deletion is a count inspection: the calling thread's buffered
-  // barrier adjustments must be visible in the region counts first —
-  // before even the optimistic sum, or a zero-looking region could be
-  // refused on this thread's own stale +1.
-  detail::flushPendingCounts();
   if (S->Deleted.load(std::memory_order_acquire))
     return false;
   // The record's shard, not R's: ShardIdx is fixed at allocation,
@@ -172,8 +167,8 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   // could only refuse, so refuse without a lock. Polling threads
   // ("is the request region dead yet?") pay reads only and never
   // convoy behind each other. Spurious non-zero is impossible for the
-  // caller's own contribution (flushed above, and its slot is its own
-  // writes); cross-thread counts in flight can at worst turn an
+  // caller's own contribution (its slot holds its own writes);
+  // cross-thread counts in flight can at worst turn an
   // accept into a refuse, which the contract allows at any time.
   if (S->totalCount() != 0) {
     Sh.FastRefusals.fetch_add(1, std::memory_order_relaxed);
@@ -267,9 +262,6 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
 }
 
 void ParallelSpace::quiesce(RegionManager &Mgr) {
-  // The owner's buffered barrier adjustments are part of what it hands
-  // off: land them while this is still unambiguously the owning thread.
-  detail::flushPendingCounts();
   auto *Entry = new QuiescedManager;
   Entry->Mgr = &Mgr;
   std::lock_guard<std::mutex> Guard(QuiesceLock);

@@ -36,10 +36,9 @@
 /// published through an atomic so per-shard share() calls size their
 /// local-count arrays coherently without it.
 ///
-/// tryDelete() is optimistic: it flushes the caller's buffered count
-/// adjustments, takes a lock-free relaxed sum first, and refuses
-/// without any lock when the sum is visibly non-zero — polling "is it
-/// dead yet" costs reads only. Concurrent deleters of the same region
+/// tryDelete() is optimistic: it takes a lock-free relaxed sum first,
+/// and refuses without any lock when the sum is visibly non-zero —
+/// polling "is it dead yet" costs reads only. Concurrent deleters of the same region
 /// are arbitrated by a per-record Deleting CAS flag, so losers refuse
 /// lock-free instead of stampeding the shard lock; only a zero-looking
 /// sum takes the shard lock for the authoritative recheck, where the
@@ -298,15 +297,13 @@ public:
     return Old;
   }
 
-  /// Attempts to delete the shared region: flushes the calling
-  /// thread's buffered count adjustments (deletion is a count
-  /// inspection), then runs the optimistic protocol — a lock-free
-  /// relaxed sum that refuses immediately when visibly non-zero, a
-  /// Deleting CAS that turns concurrent same-region deleters away
-  /// lock-free, and only then the shard lock for the authoritative
-  /// recheck, where the owning manager agrees no other counted or
-  /// stack reference survives before the region is destroyed. On
-  /// failure nothing changes and a later attempt may succeed. The
+  /// Attempts to delete the shared region with the optimistic
+  /// protocol — a lock-free relaxed sum that refuses immediately when
+  /// visibly non-zero, a Deleting CAS that turns concurrent
+  /// same-region deleters away lock-free, and only then the shard lock
+  /// for the authoritative recheck, where the owning manager agrees no
+  /// other counted or stack reference survives before the region is
+  /// destroyed. On failure nothing changes and a later attempt may succeed. The
   /// caller must guarantee the owning manager is quiescent: either the
   /// calling thread owns it, or it was handed off via quiesce() — in
   /// which case the destructive step runs under that manager's
@@ -317,9 +314,7 @@ public:
   /// Declares \p Mgr permanently quiescent: the owning thread promises
   /// to make no further use of it — no allocation, no region creation,
   /// no direct deletion — for the rest of the space's lifetime. Must
-  /// be called by the owning thread (it is the promise); it flushes
-  /// the caller's buffered count adjustments so everything the owner
-  /// did is visible to whichever thread later deletes. From then on
+  /// be called by the owning thread (it is the promise). From then on
   /// any thread's tryDelete may retire \p Mgr's shared regions: the
   /// ROADMAP cross-thread deletion hand-off. The manager must outlive
   /// the space or its last shared region, whichever dies first.

@@ -10,6 +10,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 
@@ -41,9 +42,6 @@ RegionManager::RegionManager(SafetyConfig Config, std::size_t ReserveBytes)
 }
 
 RegionManager::~RegionManager() {
-  // Buffered adjustments may hold pointers into this manager's regions;
-  // apply them while the arena is still mapped.
-  detail::flushPendingCounts();
   // Live regions die with the arena without passing through
   // freeRegionMemory; release their spilled run tables here.
   for (Region *R = LiveHead; R; R = R->NextLive)
@@ -52,100 +50,12 @@ RegionManager::~RegionManager() {
   std::free(Map);
 }
 
-thread_local RGN_CONSTINIT regions::detail::PendingCountBuffer
-    regions::detail::GPendingCounts;
-
-namespace {
-
-/// The thread-exit half of the pending-count buffer. GPendingCounts
-/// itself must stay trivially destructible — that triviality is what
-/// lets the barrier fast path load it with no TLS init guard — so the
-/// buffer cannot drain itself when its thread dies. Before this
-/// companion existed, a thread that exited holding buffered ±1 deltas
-/// simply lost them: a later deleteregion could then succeed with a
-/// live external reference (use-after-free) or refuse a legal delete
-/// forever (leak).
-///
-/// The companion is an ordinary thread_local with a destructor, so the
-/// C++ runtime (__cxa_thread_atexit) runs it at thread exit. It is
-/// constructed — i.e. its one-time TLS guard is paid — only inside
-/// installSlow, the sole place a buffered entry is ever created, so
-/// the tag-match hot path still compiles to guard-free TLS loads.
-///
-/// Destruction order: thread_locals destroy in reverse construction
-/// order, so TLS objects built *after* the first buffered deposit die
-/// before the flusher and their cross-region stores are drained here
-/// normally. TLS objects built *before* it die after the drain; their
-/// deposits find AtExit set and apply directly in installSlow (the
-/// tag-match path cannot resurrect a drained entry because flushSlow
-/// nulls the tags).
-struct PendingCountFlusher {
-  bool Armed = false;
-  ~PendingCountFlusher() {
-    if (!Armed)
-      return;
-    regions::detail::flushPendingCounts();
-    regions::detail::GPendingCounts.AtExit = 1;
-  }
-};
-
-thread_local PendingCountFlusher GPendingFlusher;
-
-} // namespace
-
-void regions::detail::PendingCountBuffer::flushSlow() {
-  // Tags must be nulled, not just the bitmask cleared: a deleted
-  // region's pages can be reissued to a new region at the same
-  // address, and a stale tag would then match it. Every deletion path
-  // flushes before freeing, so nulling here closes that ABA window.
-  unsigned Live = Occupied;
-  Occupied = 0;
-  rstat::traceEvent(rstat::EventKind::PendingFlush,
-                    static_cast<std::uint64_t>(__builtin_popcount(Live)));
-  while (Live) {
-    unsigned I = static_cast<unsigned>(__builtin_ctz(Live));
-    Live &= Live - 1;
-    Region *R = Rgn[I];
-    Rgn[I] = nullptr;
-    if (Delta[I] != 0)
-      R->rcAdd(Delta[I]);
-    Delta[I] = 0;
-  }
-}
-
 void regions::Region::spillBarrierPacked() {
   std::uint64_t P = BarrierPacked;
   BarrierPacked = 0;
   BarrierStoresDelta += P & kBarrierFieldMask;
   BarrierAdjustmentsDelta += (P >> kBarrierAdjShift) & kBarrierFieldMask;
   BarrierSameRegionDelta += (P >> kBarrierSameShift) & kBarrierFieldMask;
-}
-
-void regions::detail::PendingCountBuffer::installSlow(unsigned I, Region *R,
-                                                      long long D) {
-  // Past the exit drain (another TLS destructor is doing cross-region
-  // stores): re-buffering would lose the delta for good, so apply it
-  // directly. The region is necessarily still live — something on this
-  // thread holds a reference it is in the middle of retargeting.
-  if (RGN_UNLIKELY(AtExit != 0)) {
-    R->rcAdd(D);
-    return;
-  }
-  // First buffered entry on this thread constructs the companion
-  // flusher, registering the exit drain; later calls just set a TLS
-  // bool it already owns.
-  GPendingFlusher.Armed = true;
-  // Collision: the slot's current occupant loses its buffering — apply
-  // its delta directly and hand the slot to the newcomer. Distinct
-  // regions never share a page, so the tag compare in the caller is
-  // exact.
-  if (Region *Old = Rgn[I]) {
-    if (Delta[I] != 0)
-      Old->rcAdd(Delta[I]);
-  }
-  Rgn[I] = R;
-  Delta[I] = D;
-  Occupied |= 1u << I;
 }
 
 void RegionManager::setMapRange(const void *Page, std::size_t NumPages,
@@ -264,7 +174,17 @@ Region *RegionManager::newRegion() {
 
   // The region structure lives in its own first page, offset by
   // successive multiples of 64 bytes (up to 512) to spread region
-  // structures across cache lines (§4.1).
+  // structures across cache lines (§4.1). Every slot sits the same
+  // distance past a line boundary, so one check pins the barrier line
+  // (Region.h) for all of them.
+  constexpr auto Line = [](std::size_t Off) {
+    return (sizeof(PageHeader) + Off) / 64;
+  };
+  static_assert(Line(offsetof(Region, RC)) ==
+                        Line(offsetof(Region, BarrierPacked)) &&
+                    Line(offsetof(Region, CountRefs)) ==
+                        Line(offsetof(Region, BarrierPacked)),
+                "BarrierPacked, RC and CountRefs must share a cache line");
   std::uint32_t CacheOffset = 64 * (NextRegionId % 9);
   auto *R = ::new (Page + sizeof(PageHeader) + CacheOffset) Region();
   R->Mgr = this;
@@ -419,12 +339,11 @@ RegionStats RegionManager::stats() const {
     if (R->ReqBytes > Agg.MaxRegionBytes)
       Agg.MaxRegionBytes = R->ReqBytes;
   }
+  // The sampled peaks need no write-back: live bytes and a region's
+  // bytes only fall in foldRetired, which samples both first.
   Agg.LiveRequestedBytes = LiveBytes;
   if (LiveBytes > Agg.MaxLiveRequestedBytes)
     Agg.MaxLiveRequestedBytes = LiveBytes;
-  // Persist the sampled watermarks so later folds build on them.
-  Stats.MaxLiveRequestedBytes = Agg.MaxLiveRequestedBytes;
-  Stats.MaxRegionBytes = Agg.MaxRegionBytes;
   return Agg;
 }
 
@@ -542,10 +461,6 @@ bool RegionManager::checkAndFinalize(Region *R, void **HandleSlot,
   if (RGN_UNLIKELY(R->sharedBinding() != nullptr))
     reportFatalError("deleteregion/resetregion on a shared region: retire "
                      "it through ParallelSpace::tryDelete");
-
-  // Retirement is a count inspection: buffered barrier adjustments must
-  // land before RC is compared against the handle's contribution.
-  detail::flushPendingCounts();
 
   if (Cfg.StackScan)
     rt::RuntimeStack::current().scanForDelete();

@@ -193,9 +193,7 @@ class Region {
 public:
   /// Current reference count: the number of counted external references
   /// (from other regions, global storage, and scanned stack frames).
-  /// Flushes the calling thread's buffered count adjustments first, so
-  /// the value observed is always the exact count.
-  long long referenceCount() const;
+  long long referenceCount() const { return RC; }
 
   /// The manager that owns this region.
   RegionManager &manager() const { return *Mgr; }
@@ -326,7 +324,6 @@ private:
     std::uint32_t ZeroTail = 0;
   };
 
-  long long RC = 0;
   RegionManager *Mgr = nullptr;
   BumpList Normal; ///< objects that may contain region pointers
   BumpList Str;    ///< pointer-free data (paper's rstralloc)
@@ -367,14 +364,19 @@ private:
   // always-false compare in carvePage.
   std::uint32_t NextReserve = 0;
   std::uint32_t ReserveEnd = 0;
-  // Deferred write-barrier stats: the packed hot word (same cache line
-  // as CountRefs, the other field every barrier touches) plus the wide
-  // spill targets, folded like NumAllocs/ReqBytes.
+  // Cold fields, placed so that BarrierPacked starts a cache line.
+  unsigned Id = 0;
+  Region *PrevLive = nullptr;
+  // The barrier line: a counted cross-region store reads CountRefs,
+  // adjusts RC and bumps the packed statistics word, so the three share
+  // one cache line (checked in newRegion). The wide spill targets
+  // follow, folded like NumAllocs/ReqBytes.
   std::uint64_t BarrierPacked = 0;
+  long long RC = 0;
+  bool CountRefs = false;
   std::uint64_t BarrierStoresDelta = 0;
   std::uint64_t BarrierSameRegionDelta = 0;
   std::uint64_t BarrierAdjustmentsDelta = 0;
-  Region *PrevLive = nullptr;
   Region *NextLive = nullptr;
   // The shared-record binding (see sharedBinding() above). Cold: only
   // share/tryDelete write it and only resolving exchanges read it, so
@@ -382,8 +384,6 @@ private:
   // barrier cache lines. Atomics keep Region trivially destructible.
   std::atomic<par::SharedRegion *> SharedRec{nullptr};
   std::atomic<std::uint64_t> SharedRecGen{0};
-  unsigned Id = 0;
-  bool CountRefs = false;
 
   /// Moves the packed word's fields into the wide deltas. Out of line:
   /// runs once per 2^19 stores.
@@ -461,104 +461,18 @@ RGN_ALWAYS_INLINE void rsanStampObject(char *Hdr, std::size_t Size,
 #endif
 }
 
-//===----------------------------------------------------------------------===//
-// Buffered exact counting
-//===----------------------------------------------------------------------===//
-
-/// A small per-thread buffer of pending ±1 reference-count adjustments.
-/// The write barrier deposits adjustments here instead of touching the
-/// region structures; repeated stores into the same few regions coalesce
-/// into one entry each. Counts only matter when a deletion inspects
-/// them, so the buffer is drained before *every* count inspection:
-/// deleteRegionImpl, ParallelSpace::tryDelete, Region::referenceCount(),
-/// and RegionManager teardown (which keeps the buffered Region pointers
-/// from dangling — regions die only through those paths).
-///
-/// Intentionally aggregate-initialized (no NSDMIs): the thread_local
-/// instance is zero-initialized statically, so access pays no TLS guard.
-///
-/// Thread exit: the buffer itself is trivially destructible (that is
-/// what keeps the hot path guard-free), so a *companion* thread_local
-/// with a destructor (PendingCountFlusher, in Region.cpp) drains it
-/// when the thread dies — a thread that exits holding buffered ±1
-/// deltas would otherwise lose them forever, letting a later
-/// deleteregion wrongly succeed with a live external reference or
-/// wrongly refuse one. The companion is touched only in installSlow
-/// (the only place a buffered entry is ever created), so the hot path
-/// keeps loading the constinit buffer directly, with no init guard.
-struct PendingCountBuffer {
-  static constexpr unsigned kEntries = 8; ///< power of two: direct-mapped
-  Region *Rgn[kEntries];
-  long long Delta[kEntries];
-  unsigned Occupied; ///< bitmask of live entries
-  /// Set by the companion flusher's destructor: the thread is exiting
-  /// and the buffer has been drained. Later deposits on this thread
-  /// (from other thread_local destructors running cross-region stores)
-  /// apply directly instead of re-buffering, so nothing can be lost
-  /// after the drain. Never set on a live thread — the hot paths
-  /// never read it.
-  unsigned AtExit;
-
-  /// Applies every buffered adjustment and empties the buffer (entries
-  /// are cleared so a dead region's address can never tag-match a
-  /// later region reusing the same pages).
-  void flushSlow();
-
-  /// Evicts the colliding entry (applying its delta directly) and
-  /// installs \p R in slot \p I; arms the calling thread's exit
-  /// flusher. Applies \p D directly when the thread is past its drain.
-  void installSlow(unsigned I, Region *R, long long D);
-};
-
-// constinit: guarantees static (zero) initialization, so cross-TU
-// accesses compile to direct TLS loads instead of calls through the
-// thread_local init-on-first-use wrapper.
-extern thread_local RGN_CONSTINIT PendingCountBuffer GPendingCounts;
-
-/// Deposits a ±1 adjustment for \p R into the calling thread's buffer.
-/// Direct-mapped on the region's page number (each region structure
-/// sits in its own first page): the hot repeated-store case is one tag
-/// compare and one add, with no scan. A collision evicts the previous
-/// entry by applying its delta directly — still correct, just
-/// uncoalesced for that region.
-RGN_ALWAYS_INLINE void pendingAddTo(PendingCountBuffer &B, Region *R,
-                                    long long D) {
-  unsigned I = static_cast<unsigned>(reinterpret_cast<std::uintptr_t>(R) >>
-                                     kPageShift) &
-               (PendingCountBuffer::kEntries - 1);
-  if (RGN_LIKELY(B.Rgn[I] == R)) {
-    B.Delta[I] += D;
-    return;
-  }
-  B.installSlow(I, R, D);
-}
-
-RGN_ALWAYS_INLINE void pendingCountAdd(Region *R, long long D) {
-  pendingAddTo(GPendingCounts, R, D);
-}
-
-/// Drains the calling thread's pending adjustments, making every
-/// region's RC exact. Cheap when the buffer is empty (one TLS load).
-/// Every count inspection must flush first — deleteRegion does, and
-/// so does ParallelSpace::tryDelete *before* its lock-free relaxed
-/// sum, so even the optimistic refusal path never reads a count the
-/// caller's own buffered deltas would change.
-RGN_ALWAYS_INLINE void flushPendingCounts() {
-  if (RGN_UNLIKELY(GPendingCounts.Occupied != 0))
-    GPendingCounts.flushSlow();
-}
-
 /// The write barrier's remainder for stores that cross regions:
 /// classifies the slot through the same snapshot the caller used for
-/// the old and new values, buffers the ±1 count adjustments, and parks
-/// the statistics on the store's region (see barrierAssign in
-/// RegionPtr.h). Kept inline: an out-of-line call forces the probe
-/// snapshot through the stack, which costs more than the body.
+/// the old and new values, applies the ±1 count adjustments in place
+/// (§4.2.2, Figure 5), and parks the statistics on the store's region
+/// (see barrierAssign in RegionPtr.h). Each count sits on the line
+/// countsRefs() has just loaded. Kept inline: an out-of-line call
+/// forces the probe snapshot through the stack, which costs more than
+/// the body.
 RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
                                           Region *NewR,
                                           const ArenaProbe &Probe) {
   Region *SlotR = Probe.lookup(Slot);
-  PendingCountBuffer &B = GPendingCounts;
   // The event word is built with add-immediates inside branches the
   // counting logic takes anyway — no separate flag materialization.
   std::uint64_t Event = 1;
@@ -567,11 +481,11 @@ RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
     // sameregion: the endpoint inequality tests double as the
     // adjustment guards, leaving only null and counting checks.
     if (OldR && OldR->countsRefs()) {
-      pendingAddTo(B, OldR, -1);
+      OldR->rcAdd(-1);
       Event += 1ull << Region::kBarrierAdjShift;
     }
     if (NewR && NewR->countsRefs()) {
-      pendingAddTo(B, NewR, +1);
+      NewR->rcAdd(+1);
       Event += 1ull << Region::kBarrierAdjShift;
     }
   } else {
@@ -580,11 +494,11 @@ RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
     if ((OldR && OldR == SlotR) || (NewR && NewR == SlotR))
       Event += 1ull << Region::kBarrierSameShift;
     if (OldR && OldR != SlotR && OldR->countsRefs()) {
-      pendingAddTo(B, OldR, -1);
+      OldR->rcAdd(-1);
       Event += 1ull << Region::kBarrierAdjShift;
     }
     if (NewR && NewR != SlotR && NewR->countsRefs()) {
-      pendingAddTo(B, NewR, +1);
+      NewR->rcAdd(+1);
       Event += 1ull << Region::kBarrierAdjShift;
     }
   }
@@ -595,11 +509,6 @@ RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
 }
 
 } // namespace detail
-
-inline long long Region::referenceCount() const {
-  detail::flushPendingCounts();
-  return RC;
-}
 
 /// Owns an arena of pages and the regions carved from it. Distinct
 /// managers are fully independent (each experiment backend gets its
@@ -671,12 +580,12 @@ public:
   /// Resets \p R to the freshly-created empty state **in place** (rpool
   /// layer 1; see region/Pool.h for the pooling layer built on it).
   ///
-  /// Applies exactly deleteRegion's safety protocol — pending-count
-  /// flush, stack scan, external-reference refusal, rsan validation,
-  /// cleanup thunks — but instead of returning pages to the PageSource
-  /// it keeps every page run (growth and large-object runs alike, with
-  /// their page-map entries) as a re-carve reservoir: carvePage and
-  /// exact-fit allocLarge requests drain it before touching the source.
+  /// Applies exactly deleteRegion's safety protocol — stack scan,
+  /// external-reference refusal, rsan validation, cleanup thunks — but
+  /// instead of returning pages to the PageSource it keeps every page
+  /// run (growth and large-object runs alike, with their page-map
+  /// entries) as a re-carve reservoir: carvePage and exact-fit
+  /// allocLarge requests drain it before touching the source.
   /// The first page's Figure-7 end-marker state is reinstalled and
   /// retained pages are re-poisoned under RGN_HARDEN. The region keeps
   /// its address but becomes a new logical region: a fresh id is
@@ -692,13 +601,6 @@ public:
   bool resetRegion(Region *R);
 
   const SafetyConfig &config() const { return Cfg; }
-
-  /// Reconfigures safety features. Only valid while no regions are
-  /// live: toggling mid-flight would desynchronize reference counts.
-  void setConfig(const SafetyConfig &NewCfg) {
-    assert(Stats.LiveRegions == 0 && "cannot reconfigure with live regions");
-    Cfg = NewCfg;
-  }
 
   /// Returns the aggregated statistics by value. Per-allocation
   /// counters are kept region-local by the fast path and folded in here
@@ -728,8 +630,7 @@ public:
   /// Heap introspection: prints every live region — reference count,
   /// allocation/byte totals, page runs, and the per-page chains with
   /// kind/flags/bytes-used — for debugging refused deletions at scale.
-  /// Flushes the calling thread's pending counts first so the printed
-  /// counts are exact. Defined in Metrics.cpp.
+  /// Defined in Metrics.cpp.
   void dumpHeap(std::FILE *Out = stdout) const;
 
   /// Largest size allocScanned serves from a normal page; bigger
@@ -778,10 +679,10 @@ private:
   void *allocLarge(Region *R, std::size_t Size, ScanThunk Thunk, bool Zeroed);
   void runCleanups(Region *R);
   /// deleteregion's safety protocol (§4.2), shared by deleteRegionImpl
-  /// and resetRegion: flush pending counts, scan the stack, refuse while
-  /// any external reference other than the handle's is live (ticking
-  /// DeleteFailures, or ResetRefusals when \p Reset), then validate
-  /// hardened metadata and run the cleanups. True iff R may be retired.
+  /// and resetRegion: scan the stack, refuse while any external
+  /// reference other than the handle's is live (ticking DeleteFailures,
+  /// or ResetRefusals when \p Reset), then validate hardened metadata
+  /// and run the cleanups. True iff R may be retired.
   bool checkAndFinalize(Region *R, void **HandleSlot, bool HandleCounted,
                         const rt::SlotNode *HandleNode, bool Reset);
   /// Folds a retiring incarnation into Stats and the rstat histograms.
@@ -795,9 +696,8 @@ private:
   SafetyConfig Cfg;
   /// Folded counters: region-lifecycle and barrier stats are eager;
   /// per-allocation stats cover *deleted* regions only (live regions'
-  /// shares are summed on demand). Mutable so the const stats() can
-  /// persist watermark samples.
-  mutable RegionStats Stats;
+  /// shares are summed on demand).
+  RegionStats Stats;
   PoolStats PoolCounters; ///< rpool activity (region/Pool.h)
   Region *LiveHead = nullptr;
   unsigned NextRegionId = 0;

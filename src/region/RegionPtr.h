@@ -44,8 +44,8 @@ namespace detail {
 /// the old and new values are classified through a single hot-arena
 /// probe, and the dominant sameregion outcome bumps only the region's
 /// own deferred counters — no manager state, no count adjustments. The
-/// cross-region remainder (slot classification, buffered ±1 count
-/// adjustments) is out of line in barrierCrossRegion.
+/// cross-region remainder (slot classification, in-place ±1 count
+/// adjustments) is in barrierCrossRegion.
 RGN_ALWAYS_INLINE void barrierAssign(void **Slot, void *NewVal) {
   void *OldVal = *Slot;
   // Null over null — the default-construct / destroy-empty pattern —

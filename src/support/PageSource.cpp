@@ -276,15 +276,6 @@ void PageSource::drainQuarantine() {
     evictOldestQuarantined();
 }
 
-void PageSource::releaseQuarantinedPages() {
-  for (std::size_t I = QuarantineHead, E = Quarantine.size(); I != E; ++I) {
-    const Run &R = Quarantine[I];
-    // The pages will read as zero once re-touched; they stay below
-    // ZeroHighWater, so nothing ever reports them as zeroed either way.
-    madvise(pageAt(R.PageIdx), R.NumPages * kPageSize, MADV_DONTNEED);
-  }
-}
-
 void PageSource::resetForTesting() {
   // ZeroHighWater deliberately survives: resetting rewinds the
   // bookkeeping, not the contents already written to the arena.

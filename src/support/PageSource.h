@@ -183,13 +183,6 @@ public:
   /// specific previously-freed page.
   void drainQuarantine();
 
-  /// madvise(MADV_DONTNEED)s every quarantined run, returning its
-  /// physical memory to the OS while keeping the run quarantined. The
-  /// pages then read as zero rather than poison until evicted — weaker
-  /// use-after-free detection in exchange for a bounded RSS, for
-  /// long-running hardened processes.
-  void releaseQuarantinedPages();
-
 private:
   struct Run {
     std::uint32_t PageIdx;

@@ -91,8 +91,6 @@ const char *rstat::eventName(EventKind K) {
     return "run-free";
   case EventKind::CoalesceSweep:
     return "coalesce-sweep";
-  case EventKind::PendingFlush:
-    return "pending-flush";
   case EventKind::QuarantineEvict:
     return "quarantine-evict";
   case EventKind::ShareRegion:

@@ -12,9 +12,9 @@
 ///
 /// Events are recorded only from the library's *cold* paths — region
 /// creation/deletion, page-run grabs and frees, coalescing sweeps,
-/// pending-count flushes, quarantine evictions. The allocation and
-/// write-barrier fast paths carry no hooks at all, so the default
-/// build's hot code is bit-identical with tracing compiled in.
+/// quarantine evictions. The allocation and write-barrier fast paths
+/// carry no hooks at all, so the default build's hot code is
+/// bit-identical with tracing compiled in.
 ///
 /// Zero-cost off: every hook is a load of one constinit thread-local
 /// word plus one predictable branch. The word is non-null only while
@@ -54,7 +54,6 @@ enum class EventKind : std::uint8_t {
   RunGrab,          ///< A = first page index, B = run length in pages
   RunFree,          ///< A = first page index, B = run length in pages
   CoalesceSweep,    ///< A = free runs before, B = free runs after
-  PendingFlush,     ///< A = buffered entries applied
   QuarantineEvict,  ///< A = first page index, B = run length in pages
   ShareRegion,      ///< A = region id, B = shard index
   TryDeleteOk,      ///< A = region id, B = shard index
@@ -68,8 +67,6 @@ enum class EventKind : std::uint8_t {
   PoolRelease,      ///< A = region id, B = pages retained in the pool
   PoolTrim,         ///< A = region id, B = pages returned to the source
 };
-
-inline constexpr unsigned kNumEventKinds = 19;
 
 /// Stable lower-case event names (also the Chrome trace "name" field).
 const char *eventName(EventKind K);

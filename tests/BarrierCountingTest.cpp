@@ -1,14 +1,13 @@
-//===- tests/BarrierCountingTest.cpp - Buffered counting semantics --------===//
+//===- tests/BarrierCountingTest.cpp - Barrier counting semantics ---------===//
 //
 // Part of the regions project (Gay & Aiken, PLDI 1998 reproduction).
 //
-// The write barrier batches its ±1 reference-count adjustments in a
-// small per-thread buffer (coalescing repeated stores to the same
-// regions) and defers its statistics to per-region counters. These
-// tests pin the observable contract: counts and statistics read
-// through the public API are exactly what unbuffered, eager counting
-// would produce — in particular at every deletion decision, which is
-// where the paper's safety rests.
+// The write barrier applies its ±1 reference-count adjustments to the
+// target region in place and defers its statistics to per-region
+// counters. These tests pin the observable contract: counts and
+// statistics read through the public API are exact — across many
+// regions, across threads, at thread exit, and in particular at every
+// deletion decision, which is where the paper's safety rests.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 using namespace regions;
@@ -36,7 +36,7 @@ struct BarrierCountingTest : ::testing::Test {
 };
 
 //===----------------------------------------------------------------------===//
-// Buffered adjustments stay exact
+// Adjustments stay exact
 //===----------------------------------------------------------------------===//
 
 TEST_F(BarrierCountingTest, CountsExactAfterInterleavedCrossRegionStores) {
@@ -47,13 +47,12 @@ TEST_F(BarrierCountingTest, CountsExactAfterInterleavedCrossRegionStores) {
   Node *InB = rnew<Node>(B, 2);
 
   // Ping-pong a slot in A between values in A and B: every store to
-  // InB is a +1 on B, every overwrite a -1, all landing in the
-  // pending buffer and largely cancelling there.
+  // InB is a +1 on B, every overwrite a -1.
   Node *Slot = rnew<Node>(A, 0);
   for (int I = 0; I != 1000; ++I)
     Slot->Next = (I % 2) ? InB : InA;
   // Final state: Slot->Next == InB, so B holds exactly one external
-  // reference. referenceCount() flushes before reading.
+  // reference.
   EXPECT_EQ(B->referenceCount(), 1);
   EXPECT_EQ(A->referenceCount(), 0) << "A's references are all internal";
 
@@ -65,10 +64,10 @@ TEST_F(BarrierCountingTest, CountsExactAfterInterleavedCrossRegionStores) {
 }
 
 TEST_F(BarrierCountingTest, BufferOverflowSpillsWithoutLosingCounts) {
-  // More distinct regions than the pending buffer has entries, all
-  // adjusted back-to-back so the overflow path (direct rcAdd) runs.
+  // Many distinct regions adjusted back-to-back: each count must land
+  // on its own region, with no adjustment lost or misattributed.
   Frame F;
-  constexpr int kRegions = 24; // PendingCountBuffer::kEntries is 8
+  constexpr int kRegions = 24;
   RegionHandle Home = Mgr.newRegion();
   Node *Holder[kRegions];
   RegionHandle Others[kRegions];
@@ -90,16 +89,16 @@ TEST_F(BarrierCountingTest, BufferOverflowSpillsWithoutLosingCounts) {
 }
 
 TEST_F(BarrierCountingTest, DeletionInspectsPendingBufferFirst) {
-  // The essence of flush-before-inspect: a single buffered +1 that has
-  // not been applied to Region::RC yet must still veto deletion.
+  // A single cross-region store's +1, made just before the deletion,
+  // must veto it.
   Frame F;
   RegionHandle A = Mgr.newRegion();
   RegionHandle B = Mgr.newRegion();
   Node *InA = rnew<Node>(A, 1);
-  // One cross-region store; the +1 for B sits in the pending buffer.
+  // One cross-region store: +1 on B.
   InA->Next = rnew<Node>(B, 2);
   EXPECT_FALSE(deleteRegion(B))
-      << "deletion must flush buffered adjustments before deciding";
+      << "deletion must see the store's adjustment";
   InA->Next = nullptr;
   EXPECT_TRUE(deleteRegion(B));
   EXPECT_TRUE(deleteRegion(A));
@@ -196,27 +195,26 @@ TEST_F(BarrierCountingTest, AssignKnownRegionCrossRegionValueDies) {
 }
 
 //===----------------------------------------------------------------------===//
-// Thread exit drains the pending buffer
+// Stores made on other threads
 //===----------------------------------------------------------------------===//
 
 TEST_F(BarrierCountingTest, ThreadExitFlushesBufferedIncrement) {
-  // Regression test: a thread that exits holding a buffered +1 used to
-  // lose it (the constinit buffer has no destructor), so this deletion
-  // wrongly SUCCEEDED with InA->Next still pointing into B — the exact
-  // use-after-free the counts exist to prevent.
+  // Regression test: when the barrier buffered its adjustments per
+  // thread, a thread that exited holding a buffered +1 lost it, so this
+  // deletion wrongly SUCCEEDED with InA->Next still pointing into B —
+  // the exact use-after-free the counts exist to prevent.
   Frame F;
   RegionHandle A = Mgr.newRegion();
   RegionHandle B = Mgr.newRegion();
   Node *InA = rnew<Node>(A, 1);
   Node *InB = rnew<Node>(B, 2);
   std::thread([&] {
-    // The +1 for B lands in THIS thread's pending buffer; nothing on
-    // this thread ever inspects a count, so only the exit flusher can
-    // deliver it.
+    // The +1 for B is made on THIS thread, which never inspects a
+    // count and exits right after.
     InA->Next = InB;
   }).join();
   EXPECT_EQ(B->referenceCount(), 1)
-      << "buffered +1 from the exited thread was lost";
+      << "+1 from the exited thread was lost";
   EXPECT_FALSE(deleteRegion(B))
       << "cross-region reference stored by an exited thread must still "
          "veto deletion";
@@ -227,7 +225,7 @@ TEST_F(BarrierCountingTest, ThreadExitFlushesBufferedIncrement) {
 
 TEST_F(BarrierCountingTest, ThreadExitFlushesBufferedDecrement) {
   // The mirror image: the exiting thread clears the reference, and its
-  // buffered -1 must land or the deletion is refused forever (a leak).
+  // -1 must land or the deletion is refused forever (a leak).
   Frame F;
   RegionHandle A = Mgr.newRegion();
   RegionHandle B = Mgr.newRegion();
@@ -236,7 +234,7 @@ TEST_F(BarrierCountingTest, ThreadExitFlushesBufferedDecrement) {
   EXPECT_EQ(B->referenceCount(), 1);
   std::thread([&] { InA->Next = nullptr; }).join();
   EXPECT_EQ(B->referenceCount(), 0)
-      << "buffered -1 from the exited thread was lost";
+      << "-1 from the exited thread was lost";
   EXPECT_TRUE(deleteRegion(B))
       << "deletion must succeed once the exited thread's store cleared "
          "the last reference";
@@ -244,8 +242,8 @@ TEST_F(BarrierCountingTest, ThreadExitFlushesBufferedDecrement) {
 }
 
 TEST_F(BarrierCountingTest, ManyExitingThreadsLeaveCountsExact) {
-  // Thread churn with deltas that cancel across threads: every buffered
-  // ±1 must survive its thread. Serial joins keep the store ordering
+  // Thread churn with deltas that cancel across threads: every ±1 must
+  // survive its thread. Serial joins keep the store ordering
   // well-defined (each thread sees the previous one's stores).
   Frame F;
   RegionHandle A = Mgr.newRegion();
@@ -269,13 +267,47 @@ TEST_F(BarrierCountingTest, ManyExitingThreadsLeaveCountsExact) {
   EXPECT_TRUE(deleteRegion(A));
 }
 
+TEST_F(BarrierCountingTest, LiveWorkerStoreVetoesDeletion) {
+  // Regression test: a cross-region store made by a thread that is
+  // still running must veto the owner's deletion as soon as the owner
+  // can see the store. When the barrier kept its +1 in a per-thread
+  // buffer until thread exit, this deletion wrongly SUCCEEDED with
+  // InA->Next still pointing into B.
+  Frame F;
+  RegionHandle A = Mgr.newRegion();
+  RegionHandle B = Mgr.newRegion();
+  Node *InA = rnew<Node>(A, 1);
+  Node *InB = rnew<Node>(B, 2);
+  std::atomic<bool> Stored{false};
+  std::atomic<bool> Checked{false};
+  std::thread Worker([&] {
+    InA->Next = InB; // +1 on B
+    Stored.store(true, std::memory_order_release);
+    while (!Checked.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    InA->Next = nullptr; // -1 on B, after the owner has looked
+  });
+  while (!Stored.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  const long long Count = B->referenceCount();
+  const bool Deleted = deleteRegion(B);
+  Checked.store(true, std::memory_order_release);
+  Worker.join();
+  EXPECT_EQ(Count, 1) << "the live worker's +1 must be visible";
+  ASSERT_FALSE(Deleted)
+      << "a reference stored by a live thread must veto deletion";
+  EXPECT_EQ(B->referenceCount(), 0);
+  EXPECT_TRUE(deleteRegion(B));
+  EXPECT_TRUE(deleteRegion(A));
+}
+
 //===----------------------------------------------------------------------===//
-// Parallel deletion flushes too
+// Parallel deletion sees barrier counts too
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelBufferedCountingTest, TryDeleteFlushesPendingCounts) {
-  // A safe-config manager behind a ParallelSpace: a buffered barrier
-  // adjustment must be visible to tryDelete's inspection, and a refusal
+  // A safe-config manager behind a ParallelSpace: a barrier adjustment
+  // must be visible to tryDelete's inspection, and a refusal
   // by the owning manager must leave the shared record retryable
   // instead of aborting (the old path asserted).
   RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{64} << 20};
@@ -288,11 +320,10 @@ TEST(ParallelBufferedCountingTest, TryDeleteFlushesPendingCounts) {
   par::SharedRegion *STarget = Space.share(Target);
 
   Node *Holder = rnew<Node>(Home, 0);
-  // Cross-region store through the ordinary barrier: +1 on Target sits
-  // in the calling thread's pending buffer.
+  // Cross-region store through the ordinary barrier: +1 on Target.
   Holder->Next = rnew<Node>(Target, 1);
   EXPECT_FALSE(Space.tryDelete(STarget))
-      << "manager-side count must veto shared deletion after flush";
+      << "manager-side count must veto shared deletion";
   EXPECT_EQ(Space.liveSharedRegions(), 2u) << "refusal keeps the record";
 
   Holder->Next = nullptr;

@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "region/Debug.h"
+#include "region/Metrics.h"
 #include "region/Regions.h"
 #include "region/StdAllocator.h"
 
@@ -128,14 +129,13 @@ TEST_F(DebugToolsTest, PrintFunctionsProduceOutput) {
   std::size_t Len = 0;
   std::FILE *Mem = open_memstream(&Buf, &Len);
   printDiagnosis(D, R.get(), Mem);
-  printManagerReport(Mgr, Mem);
+  printMetrics(Mgr.metrics(), Mem);
   std::fclose(Mem);
   std::string Out(Buf, Len);
   free(Buf);
   EXPECT_NE(Out.find("FAIL"), std::string::npos);
   EXPECT_NE(Out.find("live local"), std::string::npos);
-  EXPECT_NE(Out.find("RegionManager report"), std::string::npos);
-  EXPECT_NE(Out.find("barriers"), std::string::npos);
+  EXPECT_NE(Out.find("barrier stores"), std::string::npos);
   Stale = nullptr;
   EXPECT_TRUE(deleteRegion(R));
 }

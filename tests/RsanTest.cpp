@@ -4,8 +4,8 @@
 //
 // Covers the rsan hardened debug mode (support/Harden.h): page
 // quarantine, red-zone and size-header validation, checked region-
-// pointer dereferences, and the interactions with the zero-tail page
-// optimization and the buffered reference-count tags. The file compiles
+// pointer dereferences, and the interaction with the zero-tail page
+// optimization. The file compiles
 // in every configuration; checks that need hardened metadata are gated
 // on RGN_HARDEN_ENABLED, and checks that read poisoned bytes directly
 // are additionally gated on !RGN_ASAN (ASan traps the read itself,
@@ -203,11 +203,10 @@ TEST(RsanQuarantine, DeleteRegionQuarantinesItsPages) {
 }
 
 TEST(RsanQuarantine, DeletedRegionAddressNotReusedWhileQuarantined) {
-  // The PendingCountBuffer tags deferred count adjustments with Region*
-  // values and relies on deletion flushing before the pages recycle.
-  // The quarantine widens that guarantee: while a dead region's page
-  // sits quarantined, no new region can be carved from it, so a stale
-  // tag can never alias a live region across the quarantine boundary.
+  // While a dead region's page sits quarantined, no new region can be
+  // carved from it, so a stale Region* (a dangling handle, a pointer
+  // kept by a debugging tool) can never alias a live region across the
+  // quarantine boundary.
   RegionManager Mgr(SafetyConfig::unsafeConfig(), std::size_t{64} << 20);
   Region *Dead = Mgr.newRegion();
   const std::uintptr_t DeadPage = pageOf(Dead);

@@ -3,8 +3,8 @@
 // Part of the regions project (Gay & Aiken, PLDI 1998 reproduction).
 //
 // Multithreaded stress aimed at the thread-safety story: concurrent
-// barrier stores inside per-thread managers (buffered pending counts
-// flushing at thread exit), thread churn through a ParallelSpace
+// barrier stores inside per-thread managers and from short-lived
+// threads into one manager, thread churn through a ParallelSpace
 // (register/addRef/dropRef/unregister racing with tryDelete), and
 // armed tracing under the same churn. Run under TSan these tests must
 // be clean; in any build the counts must come out exact after joins.
@@ -35,13 +35,13 @@ struct Node {
 };
 
 //===----------------------------------------------------------------------===//
-// Per-thread managers: barrier stores and thread-exit flushing
+// Per-thread managers and short-lived storing threads
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadStressTest, PerThreadManagersChurnIndependently) {
   // Each thread runs its own manager — the design's intended mode.
-  // The only shared state is the pending-count buffer machinery's
-  // thread-exit path, exercised kThreads times.
+  // The only shared state is the global arena registry the barrier's
+  // region lookups read, exercised by kThreads managers at once.
   constexpr int kThreads = 8;
   constexpr int kRounds = 200;
   std::vector<std::thread> Threads;
@@ -54,15 +54,13 @@ TEST(ThreadStressTest, PerThreadManagersChurnIndependently) {
         rt::RegionHandle A = Mgr.newRegion();
         rt::RegionHandle B = Mgr.newRegion();
         Node *NA = rnew<Node>(A, I);
-        NA->Next = rnew<Node>(B, I + 1); // cross-region: buffered +1 on B
+        NA->Next = rnew<Node>(B, I + 1); // cross-region: +1 on B
         if (deleteRegion(B)) // must refuse: A still points in
           Failures.fetch_add(1, std::memory_order_relaxed);
-        NA->Next = nullptr; // buffered -1 on B
+        NA->Next = nullptr; // -1 on B
         if (!deleteRegion(B) || !deleteRegion(A))
           Failures.fetch_add(1, std::memory_order_relaxed);
       }
-      // Thread exits with an empty buffer here; other iterations of
-      // this test leave deltas pending on purpose (below).
     });
   for (std::thread &T : Threads)
     T.join();
@@ -70,12 +68,11 @@ TEST(ThreadStressTest, PerThreadManagersChurnIndependently) {
 }
 
 TEST(ThreadStressTest, ExitFlushesRaceWithMainThreadInspection) {
-  // Worker threads concurrently deposit buffered deltas and exit
-  // without any explicit flush; the exit flushers all run at once.
-  // Each thread targets its own region (exact counting of one
-  // region's RC across threads is ParallelSpace's job, below), so the
-  // only concurrency here is the flusher machinery itself. After the
-  // joins every delta must have landed exactly once.
+  // Worker threads concurrently adjust counts and exit at once. Each
+  // thread targets its own region (exact counting of one region's RC
+  // across threads is ParallelSpace's job, below), so the threads
+  // share no count. After the joins every delta must have landed
+  // exactly once.
   RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{64} << 20};
   rt::Frame F;
   rt::RegionHandle Home = Mgr.newRegion();
@@ -95,9 +92,9 @@ TEST(ThreadStressTest, ExitFlushesRaceWithMainThreadInspection) {
     for (int T = 0; T != kThreads; ++T)
       Wave.emplace_back([&, W, T] {
         if (W & 1) {
-          Slots[T]->Next = nullptr; // buffered -1, left pending at exit
+          Slots[T]->Next = nullptr; // -1, right before exit
         } else {
-          Slots[T]->Next = InTarget[T]; // buffered +1, left at exit
+          Slots[T]->Next = InTarget[T]; // +1, right before exit
         }
       });
     for (std::thread &T : Wave)
@@ -106,7 +103,7 @@ TEST(ThreadStressTest, ExitFlushesRaceWithMainThreadInspection) {
     for (int T = 0; T != kThreads; ++T)
       EXPECT_EQ(Targets[T]->referenceCount(), Expected)
           << "round " << W << " target " << T
-          << ": joined threads' buffered deltas must all be flushed";
+          << ": every joined thread's delta must have landed";
   }
   for (int T = 0; T != kThreads; ++T) {
     Slots[T]->Next = nullptr;
