@@ -51,7 +51,7 @@ MANAGER_KEYS = [
     "maxLiveRequestedBytes", "totalRegions", "liveRegions",
     "maxLiveRegions", "maxRegionBytes", "deleteAttempts",
     "deleteFailures", "resetRegions", "resetRefusals",
-    "cleanupThunksRun", "barrierStores",
+    "cleanupThunksRun", "cleanupScansSkipped", "barrierStores",
     "barrierSameRegion", "barrierAdjustments",
 ]
 
@@ -193,6 +193,12 @@ def validate_metrics(path, errors):
         fail(errors, "metrics: deleteFailures exceeds deleteAttempts")
     if mgr.get("liveRegions", 0) > mgr.get("totalRegions", 0):
         fail(errors, "metrics: liveRegions exceeds totalRegions")
+    # A scan is skipped at most once per successful delete or reset.
+    retired = (mgr.get("deleteAttempts", 0) - mgr.get("deleteFailures", 0)
+               + mgr.get("resetRegions", 0))
+    if mgr.get("cleanupScansSkipped", 0) > retired:
+        fail(errors, "metrics: cleanupScansSkipped exceeds successful "
+                     "deletes plus resets")
     if isinstance(pool, dict):
         # Pool counter tracks: every hit pops an entry a release once
         # parked, and every park was preceded by a successful in-place

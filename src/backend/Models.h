@@ -83,9 +83,11 @@ public:
 
   /// Byte blob on the *normal* (scanned) allocator side: for data that
   /// lives interleaved with pointer-bearing objects, as ralloc'd
-  /// buffers do in the paper's programs. Layout: [size][bytes].
+  /// buffers do in the paper's programs. Layout: [size][bytes]. The
+  /// thunk only reports the size, so it never finalizes.
   void *allocBlob(Region *R, std::size_t N) {
-    void *Mem = Mgr.allocScanned(R, N + sizeof(std::size_t), &blobThunk);
+    void *Mem = Mgr.allocScanned(R, N + sizeof(std::size_t), &blobThunk,
+                                 /*MayFinalize=*/false);
     *static_cast<std::size_t *>(Mem) = N;
     return static_cast<std::size_t *>(Mem) + 1;
   }

@@ -17,9 +17,11 @@
 #ifndef MUDLLE_AST_H
 #define MUDLLE_AST_H
 
+#include "backend/Models.h"
 #include "mudlle/Lexer.h"
 
 #include <cstdint>
+#include <type_traits>
 
 namespace regions {
 namespace mud {
@@ -63,6 +65,9 @@ template <class M> struct Expr {
   Ptr<Expr> Args; ///< Call: first argument
   Ptr<Expr> Next; ///< argument chaining
   std::uint32_t Line = 0;
+
+  /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+  using RegionCountOnly = Expr;
 };
 
 enum class StmtKind : std::uint8_t {
@@ -84,12 +89,18 @@ template <class M> struct Stmt {
   Ptr<Stmt> ElseBody;
   Ptr<Stmt> Next; ///< statement sequencing
   std::uint32_t Line = 0;
+
+  /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+  using RegionCountOnly = Stmt;
 };
 
 /// One parameter name in a function's parameter list.
 template <class M> struct Param {
   const char *Name = nullptr;
   typename M::template Ptr<Param> Next;
+
+  /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+  using RegionCountOnly = Param;
 };
 
 template <class M> struct Function {
@@ -101,6 +112,9 @@ template <class M> struct Function {
   Ptr<Function> Next; ///< next function in the file
   std::uint32_t NumParams = 0;
   std::uint32_t Line = 0;
+
+  /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+  using RegionCountOnly = Function;
 };
 
 /// A parsed source file: list of functions, all in one region.
@@ -108,7 +122,20 @@ template <class M> struct SourceFile {
   typename M::template Ptr<Function<M>> Functions;
   std::uint32_t NumFunctions = 0;
   std::uint32_t NumNodes = 0; ///< AST nodes allocated (statistics)
+
+  /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+  using RegionCountOnly = SourceFile;
 };
+
+// The markers are checked, not just promised: with raw-pointer links
+// every node is trivially destructible, so no destructor body hides
+// behind a marker.
+static_assert(std::is_trivially_destructible_v<Expr<DirectModel>> &&
+                  std::is_trivially_destructible_v<Stmt<DirectModel>> &&
+                  std::is_trivially_destructible_v<Param<DirectModel>> &&
+                  std::is_trivially_destructible_v<Function<DirectModel>> &&
+                  std::is_trivially_destructible_v<SourceFile<DirectModel>>,
+              "a RegionCountOnly AST node has a destructor of its own");
 
 } // namespace mud
 } // namespace regions

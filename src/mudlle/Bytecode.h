@@ -13,8 +13,11 @@
 #ifndef MUDLLE_BYTECODE_H
 #define MUDLLE_BYTECODE_H
 
+#include "backend/Models.h"
+
 #include <cassert>
 #include <cstdint>
+#include <type_traits>
 
 namespace regions {
 namespace mud {
@@ -72,6 +75,9 @@ template <class M> struct CompiledFunction {
   std::uint16_t NumLocals = 0; ///< params + vars
   std::uint32_t Index = 0;
   typename M::template Ptr<CompiledFunction> Next;
+
+  /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+  using RegionCountOnly = CompiledFunction;
 };
 
 /// A compiled file.
@@ -81,7 +87,16 @@ template <class M> struct CompiledProgram {
   std::int32_t MainIndex = -1;
   std::uint32_t TotalCodeWords = 0;
   std::uint32_t PeepholeRewrites = 0;
+
+  /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+  using RegionCountOnly = CompiledProgram;
 };
+
+// Checked like the AST markers (Ast.h).
+static_assert(
+    std::is_trivially_destructible_v<CompiledFunction<DirectModel>> &&
+        std::is_trivially_destructible_v<CompiledProgram<DirectModel>>,
+    "a RegionCountOnly bytecode type has a destructor of its own");
 
 } // namespace mud
 } // namespace regions

@@ -24,6 +24,7 @@
 #include "mudlle/Bytecode.h"
 
 #include <cstring>
+#include <type_traits>
 
 namespace regions {
 namespace mud {
@@ -31,7 +32,17 @@ namespace mud {
 template <class M> class Compiler {
 public:
   Compiler(M &Mem, typename M::Token &OutScope)
-      : Mem(Mem), Out(OutScope) {}
+      : Mem(Mem), Out(OutScope) {
+    // The table entries' RegionCountOnly markers, checked like the AST's
+    // (Ast.h). Here rather than beside the entries: only a member
+    // function body sees Compiler<DirectModel> complete.
+    static_assert(
+        std::is_trivially_destructible_v<
+            typename Compiler<DirectModel>::FnEntry> &&
+            std::is_trivially_destructible_v<
+                typename Compiler<DirectModel>::LocalEntry>,
+        "a RegionCountOnly compiler table has a destructor of its own");
+  }
 
   /// Compiles \p File; returns null and sets failed() on error.
   CompiledProgram<M> *compile(const SourceFile<M> *File) {
@@ -86,12 +97,17 @@ public:
   std::uint32_t errorLine() const { return ErrorLine; }
 
 private:
+  template <class> friend class Compiler; // the constructor's marker check
+
   /// File-level function table entry (lives in the file compile scope).
   struct FnEntry {
     const char *Name = nullptr;
     std::uint32_t Index = 0;
     std::uint32_t NumParams = 0;
     typename M::template Ptr<FnEntry> Next;
+
+    /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+    using RegionCountOnly = FnEntry;
   };
 
   /// Local-variable table entry (lives in the function compile scope).
@@ -99,6 +115,9 @@ private:
     const char *Name = nullptr;
     std::uint32_t Slot = 0;
     typename M::template Ptr<LocalEntry> Next;
+
+    /// Cleanup only releases the Ptr links (RegionCountOnly; see rnew).
+    using RegionCountOnly = LocalEntry;
   };
 
   /// Growable code buffer in the function compile scope. Doubling

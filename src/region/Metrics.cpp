@@ -88,6 +88,8 @@ void regions::writeMetricsJson(const MetricsSnapshot &M, std::FILE *Out) {
   std::fprintf(Out, "    \"resetRefusals\": %" PRIu64 ",\n", S.ResetRefusals);
   std::fprintf(Out, "    \"cleanupThunksRun\": %" PRIu64 ",\n",
                S.CleanupThunksRun);
+  std::fprintf(Out, "    \"cleanupScansSkipped\": %" PRIu64 ",\n",
+               S.CleanupScansSkipped);
   std::fprintf(Out, "    \"barrierStores\": %" PRIu64 ",\n", S.BarrierStores);
   std::fprintf(Out, "    \"barrierSameRegion\": %" PRIu64 ",\n",
                S.BarrierSameRegion);
@@ -150,6 +152,7 @@ void regions::printMetrics(const MetricsSnapshot &M, std::FILE *Out) {
   Counters.addRow({"pool releases", TW::fmt(M.Pool.Releases)});
   Counters.addRow({"pool trims", TW::fmt(M.Pool.Trims)});
   Counters.addRow({"cleanup thunks run", TW::fmt(S.CleanupThunksRun)});
+  Counters.addRow({"cleanup scans skipped", TW::fmt(S.CleanupScansSkipped)});
   Counters.addRow({"barrier stores", TW::fmt(S.BarrierStores)});
   Counters.addRow({"barrier sameregion", TW::fmt(S.BarrierSameRegion)});
   Counters.addRow({"barrier adjustments", TW::fmt(S.BarrierAdjustments)});
@@ -185,9 +188,13 @@ void RegionManager::dumpHeap(std::FILE *Out) const {
                static_cast<std::uint64_t>(Stats.LiveRegions),
                Source.inUseBytes() / kPageSize, Source.reservedPages());
   for (const Region *R = LiveHead; R; R = R->NextLive) {
+    // outrefs and the finalize bit decide whether retiring the region
+    // runs its cleanup scan.
     std::fprintf(Out,
-                 "region #%u: rc=%lld allocs=%zu bytes=%zu runs=%u%s\n",
-                 R->Id, R->RC, R->NumAllocs, R->ReqBytes, R->NumRuns,
+                 "region #%u: rc=%lld outrefs=%lld finalize=%d allocs=%zu "
+                 "bytes=%zu runs=%u%s\n",
+                 R->Id, R->RC, R->OutRefs, R->MayFinalize ? 1 : 0,
+                 R->NumAllocs, R->ReqBytes, R->NumRuns,
                  R->CountRefs ? "" : " (uncounted)");
     for (std::uint32_t I = 0; I != R->NumRuns; ++I) {
       const detail::PageRun &Run = R->runAt(I);

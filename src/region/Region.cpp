@@ -497,8 +497,15 @@ bool RegionManager::checkAndFinalize(Region *R, void **HandleSlot,
   if constexpr (detail::kRsanEnabled)
     rsanValidate(R, /*FatalOnViolation=*/true);
 
-  if (Cfg.CleanupScan)
-    runCleanups(R);
+  // The Figure 7 walk only matters for what it undoes. A region with no
+  // finalizer and no out-reference holds only thunks whose RegionPtr
+  // destroys are sameregion or uncounted no-ops, so skip it.
+  if (Cfg.CleanupScan) {
+    if (R->MayFinalize || R->OutRefs != 0)
+      runCleanups(R);
+    else
+      ++Stats.CleanupScansSkipped;
+  }
   return true;
 }
 
@@ -578,6 +585,11 @@ bool RegionManager::resetRegion(Region *R) {
   writeEndMarker(Page, Offset);
 
   R->RC = 0; // proven zero when counting; restores fresh state otherwise
+  // OutRefs is zero after a cleanup scan. Without one (CleanupScan off)
+  // the references stay in their targets' counts, as on deletion, and
+  // the new incarnation holds none of them.
+  R->OutRefs = 0;
+  R->MayFinalize = false;
   R->Normal = {Page, Offset, 0};
   R->Str = {};
   R->LargeHead = nullptr;

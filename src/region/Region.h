@@ -148,6 +148,10 @@ struct RegionStats {
   std::uint64_t ResetRegions = 0;  ///< successful in-place resets
   std::uint64_t ResetRefusals = 0; ///< resets refused on live references
   std::uint64_t CleanupThunksRun = 0;
+  /// Retirements (deletes and resets) whose cleanup scan was skipped
+  /// because the region had nothing to undo: no out-references and no
+  /// thunk that may finalize (Region::outRefs, Region::mayFinalize).
+  std::uint64_t CleanupScansSkipped = 0;
   // Write-barrier behaviour (Figure 5 paths).
   std::uint64_t BarrierStores = 0;        ///< barriered pointer stores
   std::uint64_t BarrierSameRegion = 0;    ///< stores skipped as sameregion
@@ -227,6 +231,18 @@ public:
   /// (a creation-time copy of SafetyConfig::RefCounts, so the write
   /// barrier never needs the manager's cache lines).
   bool countsRefs() const { return CountRefs; }
+
+  /// Counted references stored *in* this region that point into other
+  /// counting regions: the counts this region's cleanup scan would give
+  /// back. The barrier's cross-region path maintains it through
+  /// outRefsAdd (internal, like rcAdd).
+  long long outRefs() const { return OutRefs; }
+  void outRefsAdd(long long Delta) { OutRefs += Delta; }
+
+  /// Whether some scanned allocation in this region carries a thunk
+  /// that may run user code (a finalizer). Retiring a region runs its
+  /// cleanup scan only if this is set or outRefs() is non-zero.
+  bool mayFinalize() const { return MayFinalize; }
 
   /// \name Region → SharedRegion binding (parallel extension)
   /// The inverse of SharedRegion::region(): par::ParallelSpace::share()
@@ -330,6 +346,9 @@ private:
   char *LargeHead = nullptr; ///< chain of large-object page runs
   std::size_t NumAllocs = 0;
   std::size_t ReqBytes = 0;
+  // Set by allocScanned, on the line the bump path already writes, when
+  // a thunk may run user code; cleared only by resetRegion.
+  bool MayFinalize = false;
   // Run table: every page run this region owns (growth runs and large-
   // object runs alike), in grab order. InlineRuns[0] is always the
   // region's own first page. The overflow array is raw malloc storage —
@@ -369,10 +388,12 @@ private:
   Region *PrevLive = nullptr;
   // The barrier line: a counted cross-region store reads CountRefs,
   // adjusts RC and bumps the packed statistics word, so the three share
-  // one cache line (checked in newRegion). The wide spill targets
-  // follow, folded like NumAllocs/ReqBytes.
+  // one cache line (checked in newRegion). OutRefs is adjusted on the
+  // slot's region instead, and read next to RC when a region retires.
+  // The wide spill targets follow, folded like NumAllocs/ReqBytes.
   std::uint64_t BarrierPacked = 0;
   long long RC = 0;
+  long long OutRefs = 0;
   bool CountRefs = false;
   std::uint64_t BarrierStoresDelta = 0;
   std::uint64_t BarrierSameRegionDelta = 0;
@@ -466,26 +487,32 @@ RGN_ALWAYS_INLINE void rsanStampObject(char *Hdr, std::size_t Size,
 /// the old and new values, applies the ±1 count adjustments in place
 /// (§4.2.2, Figure 5), and parks the statistics on the store's region
 /// (see barrierAssign in RegionPtr.h). Each count sits on the line
-/// countsRefs() has just loaded. Kept inline: an out-of-line call
-/// forces the probe snapshot through the stack, which costs more than
-/// the body.
+/// countsRefs() has just loaded. The same adjustments, netted, move the
+/// slot's region's out-reference count (Region::outRefs). Kept inline:
+/// an out-of-line call forces the probe snapshot through the stack,
+/// which costs more than the body.
 RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
                                           Region *NewR,
                                           const ArenaProbe &Probe) {
   Region *SlotR = Probe.lookup(Slot);
-  // The event word is built with add-immediates inside branches the
-  // counting logic takes anyway — no separate flag materialization.
+  // The event word and the out-reference delta are built with add-
+  // immediates inside branches the counting logic takes anyway — no
+  // separate flag materialization, and one store to the slot's region
+  // after the branches rather than one per adjustment.
   std::uint64_t Event = 1;
+  long long Out = 0;
   if (RGN_LIKELY(OldR != SlotR && NewR != SlotR)) {
     // Neither endpoint shares the slot's region, so the store is not
     // sameregion: the endpoint inequality tests double as the
     // adjustment guards, leaving only null and counting checks.
     if (OldR && OldR->countsRefs()) {
       OldR->rcAdd(-1);
+      --Out;
       Event += 1ull << Region::kBarrierAdjShift;
     }
     if (NewR && NewR->countsRefs()) {
       NewR->rcAdd(+1);
+      ++Out;
       Event += 1ull << Region::kBarrierAdjShift;
     }
   } else {
@@ -495,10 +522,12 @@ RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
       Event += 1ull << Region::kBarrierSameShift;
     if (OldR && OldR != SlotR && OldR->countsRefs()) {
       OldR->rcAdd(-1);
+      --Out;
       Event += 1ull << Region::kBarrierAdjShift;
     }
     if (NewR && NewR != SlotR && NewR->countsRefs()) {
       NewR->rcAdd(+1);
+      ++Out;
       Event += 1ull << Region::kBarrierAdjShift;
     }
   }
@@ -506,6 +535,10 @@ RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
   // there is one, the old value's otherwise — matching the manager the
   // eager scheme attributed to.
   (NewR ? NewR : OldR)->noteBarrierEvent(Event);
+  // A global or stack slot has no region whose cleanup could release
+  // the reference.
+  if (Out && SlotR)
+    SlotR->outRefsAdd(Out);
 }
 
 } // namespace detail
@@ -549,7 +582,13 @@ public:
   /// Inline fast path: on zero-tail pages the bump writes exactly one
   /// word (the object's thunk) — payload clearing and the scan's end
   /// marker are both implicit in the page's zero state.
-  void *allocScanned(Region *R, std::size_t Size, ScanThunk Thunk);
+  ///
+  /// \p MayFinalize false promises that \p Thunk runs no user code: it
+  /// only destroys RegionPtr members (or just reports a size). Such a
+  /// thunk can only give back out-references, which the region counts
+  /// (Region::outRefs), so deletion may skip it when there are none.
+  void *allocScanned(Region *R, std::size_t Size, ScanThunk Thunk,
+                     bool MayFinalize = true);
 
   /// Attempts to delete \p R (paper: deleteregion(&r)).
   ///
@@ -769,9 +808,11 @@ RGN_ALWAYS_INLINE void *RegionManager::allocRawZeroed(Region *R, std::size_t Siz
 }
 
 RGN_ALWAYS_INLINE void *RegionManager::allocScanned(Region *R, std::size_t Size,
-                                         ScanThunk Thunk) {
+                                         ScanThunk Thunk, bool MayFinalize) {
   assert(R && R->Mgr == this && "region belongs to another manager");
   assert(Thunk && "scanned allocations need a cleanup thunk");
+  if (MayFinalize)
+    R->MayFinalize = true;
   Region::BumpList &B = R->Normal;
   std::size_t Payload = alignTo(Size, kDefaultAlignment);
   std::size_t Need = sizeof(ScanThunk) + detail::kRsanObjOverhead + Payload;
@@ -822,6 +863,17 @@ template <typename T>
 inline constexpr bool regionAllocatable =
     alignof(T) <= kDefaultAlignment && !std::is_reference_v<T>;
 
+/// Whether T's cleanup may run user code. False only for types that opt
+/// in with the marker `using RegionCountOnly = T;`, which promises that
+/// ~T() does nothing but destroy RegionPtr members — C@'s compiler-
+/// generated cleanup. The alias must name T itself, so a derived type
+/// with a destructor of its own does not inherit its base's promise.
+template <typename T, typename = void>
+inline constexpr bool mayFinalize = true;
+template <typename T>
+inline constexpr bool mayFinalize<T, std::void_t<typename T::RegionCountOnly>> =
+    !std::is_same_v<typename T::RegionCountOnly, T>;
+
 } // namespace detail
 
 /// Allocates and constructs a T in region \p R (paper: ralloc).
@@ -830,13 +882,18 @@ inline constexpr bool regionAllocatable =
 /// pointers are RegionPtr, whose destructor is non-trivial) and are
 /// routed to the headerless pointer-free allocator, exactly the
 /// ralloc/rstralloc split the paper asks programmers to make.
+///
+/// Other types get a cleanup thunk running ~T(). Unless T carries the
+/// RegionCountOnly marker (detail::mayFinalize), that thunk counts as a
+/// finalizer and R's deletion always runs the cleanup scan.
 template <typename T, typename... Args> T *rnew(Region *R, Args &&...A) {
   static_assert(detail::regionAllocatable<T>, "over-aligned type in region");
   RegionManager &M = R->manager();
   if constexpr (std::is_trivially_destructible_v<T>)
     return ::new (M.allocRaw(R, sizeof(T))) T(std::forward<Args>(A)...);
   else
-    return ::new (M.allocScanned(R, sizeof(T), &detail::scanThunk<T>))
+    return ::new (M.allocScanned(R, sizeof(T), &detail::scanThunk<T>,
+                                 detail::mayFinalize<T>))
         T(std::forward<Args>(A)...);
 }
 
@@ -856,7 +913,8 @@ template <typename T> T *rnewArray(Region *R, std::size_t N) {
     if (RGN_UNLIKELY(N > (SIZE_MAX - sizeof(std::size_t)) / sizeof(T)))
       reportFatalError("rnewArray: array byte size overflows");
     void *Mem = M.allocScanned(R, sizeof(std::size_t) + N * sizeof(T),
-                               &detail::scanArrayThunk<T>);
+                               &detail::scanArrayThunk<T>,
+                               detail::mayFinalize<T>);
     *static_cast<std::size_t *>(Mem) = N;
     T *Elems = reinterpret_cast<T *>(static_cast<std::size_t *>(Mem) + 1);
     for (std::size_t I = 0; I != N; ++I)

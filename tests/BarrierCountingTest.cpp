@@ -31,8 +31,22 @@ struct Node {
   RegionPtr<Node> Next;
 };
 
+/// Node whose destructor only destroys its RegionPtr: deleting its
+/// region may skip the cleanup scan when nothing points out of it.
+struct CountOnlyNode {
+  explicit CountOnlyNode(int V = 0) : Value(V) {}
+  int Value;
+  RegionPtr<CountOnlyNode> Next;
+  using RegionCountOnly = CountOnlyNode;
+};
+
 struct BarrierCountingTest : ::testing::Test {
   RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{64} << 20};
+
+  std::uint64_t thunksRun() const { return Mgr.stats().CleanupThunksRun; }
+  std::uint64_t scansSkipped() const {
+    return Mgr.stats().CleanupScansSkipped;
+  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -154,6 +168,151 @@ TEST_F(BarrierCountingTest, StatsFoldAtRegionDeletionToo) {
   EXPECT_TRUE(deleteRegion(A));
   EXPECT_EQ(Mgr.stats().BarrierStores - Stores0, 2u)
       << "deltas parked on a deleted region must not vanish";
+}
+
+//===----------------------------------------------------------------------===//
+// Out-references decide the cleanup scan
+//===----------------------------------------------------------------------===//
+
+TEST_F(BarrierCountingTest, OutRefReleasedWhenHolderDeleted) {
+  Frame F;
+  RegionHandle A = Mgr.newRegion();
+  RegionHandle B = Mgr.newRegion();
+  CountOnlyNode *InA = rnew<CountOnlyNode>(A, 1);
+  InA->Next = rnew<CountOnlyNode>(B, 2);
+  EXPECT_EQ(A->outRefs(), 1);
+  EXPECT_EQ(B->outRefs(), 0);
+  EXPECT_EQ(B->referenceCount(), 1);
+  EXPECT_FALSE(deleteRegion(B));
+
+  std::uint64_t Thunks = thunksRun();
+  std::uint64_t Skipped = scansSkipped();
+  EXPECT_TRUE(deleteRegion(A)) << "A itself is unreferenced";
+  EXPECT_EQ(thunksRun(), Thunks + 1) << "the out-ref forces the scan";
+  EXPECT_EQ(scansSkipped(), Skipped);
+  EXPECT_EQ(B->referenceCount(), 0) << "A's cleanup released B";
+  EXPECT_TRUE(deleteRegion(B));
+}
+
+TEST_F(BarrierCountingTest, ClearedOutRefLetsTheScanBeSkipped) {
+  Frame F;
+  RegionHandle A = Mgr.newRegion();
+  RegionHandle B = Mgr.newRegion();
+  RegionHandle C = Mgr.newRegion();
+  CountOnlyNode *InA = rnew<CountOnlyNode>(A, 1);
+  CountOnlyNode *InB = rnew<CountOnlyNode>(B, 2);
+  CountOnlyNode *InC = rnew<CountOnlyNode>(C, 3);
+  // Retargeting between two other regions nets to zero on A.
+  for (int I = 0; I != 101; ++I)
+    InA->Next = (I % 2) ? InC : InB;
+  EXPECT_EQ(A->outRefs(), 1);
+  InA->Next = InA; // sameregion overwrite releases the last out-ref
+  EXPECT_EQ(A->outRefs(), 0);
+  EXPECT_EQ(B->referenceCount(), 0);
+  EXPECT_EQ(C->referenceCount(), 0);
+
+  std::uint64_t Thunks = thunksRun();
+  std::uint64_t Skipped = scansSkipped();
+  EXPECT_TRUE(deleteRegion(A));
+  EXPECT_EQ(thunksRun(), Thunks) << "nothing to undo: scan skipped";
+  EXPECT_EQ(scansSkipped(), Skipped + 1);
+  EXPECT_EQ(B->referenceCount(), 0) << "skipping must not disturb counts";
+  EXPECT_EQ(C->referenceCount(), 0);
+  EXPECT_TRUE(deleteRegion(B));
+  EXPECT_TRUE(deleteRegion(C));
+}
+
+TEST_F(BarrierCountingTest, GlobalAndStackSlotsLeaveOutRefsAlone) {
+  Frame F;
+  RegionHandle A = Mgr.newRegion();
+  CountOnlyNode *InA = rnew<CountOnlyNode>(A, 1);
+  static RegionPtr<CountOnlyNode> Global;
+  Global = InA;
+  {
+    RegionPtr<CountOnlyNode> OnStack = InA;
+    EXPECT_EQ(A->referenceCount(), 2);
+  }
+  EXPECT_EQ(A->referenceCount(), 1);
+  EXPECT_EQ(A->outRefs(), 0) << "the slots are in no region";
+  Global = nullptr;
+  EXPECT_EQ(A->outRefs(), 0);
+  std::uint64_t Skipped = scansSkipped();
+  EXPECT_TRUE(deleteRegion(A));
+  EXPECT_EQ(scansSkipped(), Skipped + 1);
+}
+
+TEST_F(BarrierCountingTest, CrossManagerOutRefsAreCounted) {
+  Frame F;
+  RegionManager Other{SafetyConfig::safeConfig(), std::size_t{16} << 20};
+  RegionManager Uncounted{SafetyConfig::unsafeConfig(),
+                          std::size_t{16} << 20};
+  RegionHandle A = Mgr.newRegion();
+  RegionHandle B = Other.newRegion();
+  RegionHandle U = Uncounted.newRegion();
+  CountOnlyNode *InA = rnew<CountOnlyNode>(A, 1);
+  CountOnlyNode *InB = rnew<CountOnlyNode>(B, 2);
+  InA->Next = InB;
+  InB->Next = InA;
+  EXPECT_EQ(A->outRefs(), 1);
+  EXPECT_EQ(B->outRefs(), 1);
+
+  // A pointer into a region that keeps no count is no out-ref.
+  CountOnlyNode *Spare = rnew<CountOnlyNode>(A, 3);
+  Spare->Next = rnew<CountOnlyNode>(U, 4);
+  EXPECT_EQ(A->outRefs(), 1);
+
+  InB->Next = nullptr;
+  EXPECT_EQ(B->outRefs(), 0);
+  std::uint64_t OtherThunks = Other.stats().CleanupThunksRun;
+  EXPECT_FALSE(deleteRegion(B)) << "A still points into B";
+  std::uint64_t Thunks = thunksRun();
+  EXPECT_TRUE(deleteRegion(A));
+  EXPECT_EQ(thunksRun(), Thunks + 2) << "A's out-ref into B forces its scan";
+  EXPECT_EQ(B->referenceCount(), 0);
+  EXPECT_TRUE(deleteRegion(B));
+  EXPECT_EQ(Other.stats().CleanupThunksRun, OtherThunks)
+      << "B's cleared out-ref lets its scan be skipped";
+  EXPECT_EQ(Other.stats().CleanupScansSkipped, 1u);
+  EXPECT_TRUE(deleteRegion(U));
+}
+
+TEST_F(BarrierCountingTest, ResetRegionSkipsAgainInItsNextIncarnation) {
+  Frame F;
+  RegionHandle B = Mgr.newRegion();
+  Region *A = Mgr.newRegion();
+  CountOnlyNode *InA = rnew<CountOnlyNode>(A, 1);
+  InA->Next = rnew<CountOnlyNode>(B, 2);
+  EXPECT_EQ(A->outRefs(), 1);
+
+  std::uint64_t Thunks = thunksRun();
+  ASSERT_TRUE(Mgr.resetRegion(A));
+  EXPECT_EQ(thunksRun(), Thunks + 1) << "the out-ref forces the scan";
+  EXPECT_EQ(B->referenceCount(), 0);
+  EXPECT_EQ(A->outRefs(), 0);
+  EXPECT_FALSE(A->mayFinalize());
+
+  // The next incarnation holds only sameregion links.
+  CountOnlyNode *Again = rnew<CountOnlyNode>(A, 3);
+  Again->Next = rnew<CountOnlyNode>(A, 4);
+  std::uint64_t Skipped = scansSkipped();
+  ASSERT_TRUE(Mgr.resetRegion(A));
+  EXPECT_EQ(thunksRun(), Thunks + 1);
+  EXPECT_EQ(scansSkipped(), Skipped + 1);
+  EXPECT_TRUE(Mgr.deleteRegionRaw(A));
+  EXPECT_TRUE(deleteRegion(B));
+
+  // With the scan off nothing releases A's out-ref; the reset still
+  // starts the next incarnation without it.
+  SafetyConfig NoCleanup = SafetyConfig::safeConfig();
+  NoCleanup.CleanupScan = false;
+  RegionManager Leaky{NoCleanup, std::size_t{16} << 20};
+  Region *Holder = Leaky.newRegion();
+  Region *Target = Leaky.newRegion();
+  rnew<CountOnlyNode>(Holder, 5)->Next = rnew<CountOnlyNode>(Target, 6);
+  EXPECT_EQ(Holder->outRefs(), 1);
+  ASSERT_TRUE(Leaky.resetRegion(Holder));
+  EXPECT_EQ(Holder->outRefs(), 0);
+  EXPECT_EQ(Target->referenceCount(), 1) << "no scan, no release";
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,6 +458,24 @@ TEST_F(BarrierCountingTest, LiveWorkerStoreVetoesDeletion) {
   EXPECT_EQ(B->referenceCount(), 0);
   EXPECT_TRUE(deleteRegion(B));
   EXPECT_TRUE(deleteRegion(A));
+}
+
+TEST_F(BarrierCountingTest, WorkerOutRefReleasedByOwnerDelete) {
+  // A worker's cross-region store moves A's out-reference count as
+  // well as B's count; after the join the owner's deletion of A must
+  // see it, run A's cleanup scan and so release B.
+  Frame F;
+  RegionHandle A = Mgr.newRegion();
+  RegionHandle B = Mgr.newRegion();
+  CountOnlyNode *InA = rnew<CountOnlyNode>(A, 1);
+  CountOnlyNode *InB = rnew<CountOnlyNode>(B, 2);
+  std::thread([&] { InA->Next = InB; }).join();
+  EXPECT_EQ(A->outRefs(), 1);
+  EXPECT_EQ(B->referenceCount(), 1);
+  EXPECT_FALSE(deleteRegion(B));
+  EXPECT_TRUE(deleteRegion(A));
+  EXPECT_EQ(B->referenceCount(), 0) << "A's cleanup released B";
+  EXPECT_TRUE(deleteRegion(B));
 }
 
 //===----------------------------------------------------------------------===//

@@ -24,6 +24,17 @@ using rt::RegionHandle;
 
 namespace {
 
+/// Scanned node whose deletion may skip the cleanup scan.
+struct Linked {
+  RegionPtr<Linked> Next;
+  using RegionCountOnly = Linked;
+};
+
+/// Scanned object with a finalizer: its region always scans.
+struct Finalized {
+  ~Finalized() {}
+};
+
 struct MetricsTest : ::testing::Test {
   RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{64} << 20};
   void TearDown() override { rstat::disarmTracing(); }
@@ -134,6 +145,47 @@ TEST_F(MetricsTest, MetricsJsonRoundTripsThroughAFile) {
   EXPECT_NE(std::strstr(Buf, "\"totalAllocs\": 1"), nullptr);
   EXPECT_FALSE(writeMetricsJson(M, "/nonexistent-dir/x.json"));
   EXPECT_TRUE(deleteRegion(R));
+}
+
+TEST_F(MetricsTest, CleanupScansSkippedReachesEverySurface) {
+  Frame F;
+  RegionHandle Skips = Mgr.newRegion();
+  Linked *L = rnew<Linked>(Skips);
+  L->Next = L;
+  RegionHandle Scans = Mgr.newRegion();
+  rnew<Finalized>(Scans);
+  EXPECT_TRUE(deleteRegion(Skips));
+  EXPECT_TRUE(deleteRegion(Scans));
+  Region *Reset = Mgr.newRegion(); // unregistered: a local would refuse
+  ASSERT_TRUE(Mgr.resetRegion(Reset));
+
+  MetricsSnapshot M = Mgr.metrics();
+  EXPECT_EQ(M.Stats.CleanupScansSkipped, 2u) << "one delete, one reset";
+  EXPECT_EQ(M.Stats.CleanupScansSkipped, Mgr.stats().CleanupScansSkipped);
+  EXPECT_EQ(M.Stats.CleanupThunksRun, 1u);
+
+  std::string Path = ::testing::TempDir() + "rstat_skipped_test.json";
+  ASSERT_TRUE(writeMetricsJson(M, Path.c_str()));
+  std::FILE *In = std::fopen(Path.c_str(), "r");
+  ASSERT_NE(In, nullptr);
+  char Buf[8192];
+  std::size_t N = std::fread(Buf, 1, sizeof(Buf) - 1, In);
+  std::fclose(In);
+  Buf[N] = '\0';
+  EXPECT_NE(std::strstr(Buf, "\"cleanupScansSkipped\": 2"), nullptr);
+
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
+  ASSERT_NE(Out, nullptr);
+  printMetrics(M, Out);
+  std::fclose(Out);
+  In = std::fopen(Path.c_str(), "r");
+  ASSERT_NE(In, nullptr);
+  N = std::fread(Buf, 1, sizeof(Buf) - 1, In);
+  std::fclose(In);
+  std::remove(Path.c_str());
+  Buf[N] = '\0';
+  EXPECT_NE(std::strstr(Buf, "cleanup scans skipped"), nullptr);
+  EXPECT_TRUE(Mgr.deleteRegionRaw(Reset));
 }
 
 //===----------------------------------------------------------------------===//
@@ -274,6 +326,32 @@ TEST_F(MetricsTest, DumpHeapListsLiveRegionsAndRuns) {
   EXPECT_NE(std::strstr(Buf, "run 0"), nullptr);
   EXPECT_NE(std::strstr(Buf, "large block"), nullptr);
   EXPECT_TRUE(deleteRegion(A));
+}
+
+TEST_F(MetricsTest, DumpHeapShowsWhatDecidesTheCleanupScan) {
+  Frame F;
+  RegionHandle Target = Mgr.newRegion();
+  RegionHandle Holder = Mgr.newRegion();
+  rnew<Linked>(Holder)->Next = rnew<Linked>(Target);
+  rnew<Finalized>(Holder);
+  std::string Path = ::testing::TempDir() + "rstat_dump_outrefs_test.txt";
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
+  ASSERT_NE(Out, nullptr);
+  Mgr.dumpHeap(Out);
+  std::fclose(Out);
+  std::FILE *In = std::fopen(Path.c_str(), "r");
+  ASSERT_NE(In, nullptr);
+  char Buf[1 << 16];
+  std::size_t N = std::fread(Buf, 1, sizeof(Buf) - 1, In);
+  std::fclose(In);
+  std::remove(Path.c_str());
+  Buf[N] = '\0';
+  EXPECT_NE(std::strstr(Buf, "rc=0 outrefs=1 finalize=1"), nullptr)
+      << "the holder";
+  EXPECT_NE(std::strstr(Buf, "rc=1 outrefs=0 finalize=0"), nullptr)
+      << "the target";
+  EXPECT_TRUE(deleteRegion(Holder));
+  EXPECT_TRUE(deleteRegion(Target));
 }
 
 } // namespace

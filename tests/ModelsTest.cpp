@@ -119,6 +119,22 @@ TEST(ModelsTest, ScopedArenaAllocates) {
   EXPECT_TRUE(M.dropRegion(Scope));
 }
 
+TEST(ModelsTest, RegionModelBlobsNeverFinalize) {
+  // allocBlob's thunk only reports a size: a region of blobs has
+  // nothing to undo, so deleting it skips the cleanup scan.
+  RegionManager Mgr;
+  RegionModel M(Mgr);
+  rt::Frame F;
+  RegionModel::Token Scope = M.makeRegion();
+  for (std::size_t N = 1; N < 200; N += 7)
+    M.allocBlob(Scope.get(), N);
+  M.allocBlob(Scope.get(), 3 * kPageSize); // large-object path
+  EXPECT_FALSE(Scope->mayFinalize());
+  EXPECT_TRUE(M.dropRegion(Scope));
+  EXPECT_EQ(Mgr.stats().CleanupThunksRun, 0u);
+  EXPECT_EQ(Mgr.stats().CleanupScansSkipped, 1u);
+}
+
 TEST(ModelsTest, ChecksumsAgreeAcrossModels) {
   long Expected = 499500;
   {

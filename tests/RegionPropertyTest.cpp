@@ -31,8 +31,16 @@ struct Node {
   RegionPtr<Node> Out; ///< one heap reference per node keeps the model simple
 };
 
-/// One global slot per test run.
-RegionPtr<Node> GlobalSlot;
+/// Node with the RegionCountOnly marker: its regions skip the cleanup
+/// scan whenever they hold no out-reference.
+struct CountOnlyNode {
+  int Id = 0;
+  RegionPtr<CountOnlyNode> Out;
+  using RegionCountOnly = CountOnlyNode;
+};
+
+/// One global slot per test run and node type.
+template <class NodeT> RegionPtr<NodeT> GlobalSlotOf;
 
 /// The oracle: predicts each region's reference count from first
 /// principles (paper §4.2: count pointers from other regions, global
@@ -57,25 +65,44 @@ struct Model {
       ++N;
     return N;
   }
+
+  /// Whether a slot in \p RegionId points into another region: what
+  /// its cleanup scan would have to release.
+  bool hasOutEdge(int RegionId) const {
+    for (const auto &[Slot, Edge] : HeapEdges)
+      if (Edge.FromRegion == RegionId && Edge.ToRegion != RegionId)
+        return true;
+    return false;
+  }
 };
 
 struct RegionPropertyTest : ::testing::TestWithParam<std::uint64_t> {
-  void SetUp() override { GlobalSlot = nullptr; }
+  void SetUp() override {
+    GlobalSlotOf<Node> = nullptr;
+    GlobalSlotOf<CountOnlyNode> = nullptr;
+  }
 };
 
-TEST_P(RegionPropertyTest, CountsMatchTheModel) {
+/// Random cross-region, sameregion and global stores on NodeT, checked
+/// against the oracle; then regions are deleted in rounds until none is
+/// left. With a
+/// RegionCountOnly NodeT a deletion must run the cleanup scan exactly
+/// when the oracle says the region still points out of itself.
+template <class NodeT> void countsMatchTheModel(std::uint64_t Seed) {
+  constexpr bool kMayFinalize = detail::mayFinalize<NodeT>;
+  RegionPtr<NodeT> &GlobalSlot = GlobalSlotOf<NodeT>;
   RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{256} << 20};
-  Prng Rng(GetParam());
+  Prng Rng(Seed);
   Model Oracle;
 
   constexpr int kRegions = 6;
   constexpr int kNodesPerRegion = 8;
   std::vector<Region *> Regions;
-  std::vector<std::vector<Node *>> Nodes(kRegions);
+  std::vector<std::vector<NodeT *>> Nodes(kRegions);
   for (int R = 0; R != kRegions; ++R) {
     Regions.push_back(Mgr.newRegion());
     for (int N = 0; N != kNodesPerRegion; ++N)
-      Nodes[R].push_back(rnew<Node>(Regions[static_cast<unsigned>(R)]));
+      Nodes[R].push_back(rnew<NodeT>(Regions[static_cast<unsigned>(R)]));
   }
 
   auto CheckAllCounts = [&](const char *When) {
@@ -88,7 +115,7 @@ TEST_P(RegionPropertyTest, CountsMatchTheModel) {
   for (int Step = 0; Step != 3000; ++Step) {
     int FromR = static_cast<int>(Rng.nextBelow(kRegions));
     int FromN = static_cast<int>(Rng.nextBelow(kNodesPerRegion));
-    Node *Holder = Nodes[FromR][FromN];
+    NodeT *Holder = Nodes[FromR][FromN];
     switch (Rng.nextBelow(4)) {
     case 0: { // point a heap field at a random node
       int ToR = static_cast<int>(Rng.nextBelow(kRegions));
@@ -117,39 +144,82 @@ TEST_P(RegionPropertyTest, CountsMatchTheModel) {
   }
   CheckAllCounts("final");
 
-  // Deletion verdicts must match the oracle for every region.
-  for (int R = 0; R != kRegions; ++R) {
-    bool Expect = Oracle.expectedCount(R, true) == 0;
-    Region *Target = Regions[R];
-    bool Got = Mgr.deleteRegionRaw(Target);
-    EXPECT_EQ(Got, Expect) << "region " << R;
-    if (!Got)
-      continue;
-    // Deleting the region dropped its outgoing edges; fix the model.
+  // Deletion verdicts must match the oracle for every region, round
+  // after round. Between rounds every edge into one random survivor is
+  // cleared, so that it becomes deletable, and so may regions whose
+  // only out-edges pointed at it (with no out-edge left to release).
+  for (int Round = 0; Round <= kRegions; ++Round) {
+    for (int R = 0; R != kRegions; ++R) {
+      if (!Regions[R])
+        continue;
+      bool Expect = Oracle.expectedCount(R, true) == 0;
+      Region *Target = Regions[R];
+      std::uint64_t ThunksBefore = Mgr.stats().CleanupThunksRun;
+      bool Got = Mgr.deleteRegionRaw(Target);
+      EXPECT_EQ(Got, Expect) << "region " << R;
+      if (!Got)
+        continue;
+      std::uint64_t Thunks = Mgr.stats().CleanupThunksRun - ThunksBefore;
+      bool Scanned = kMayFinalize || Oracle.hasOutEdge(R);
+      ASSERT_EQ(Thunks, Scanned ? std::uint64_t{kNodesPerRegion} : 0u)
+          << "region " << R << ": the scan must run iff it has work";
+      // Deleting the region dropped its outgoing edges; fix the model.
+      for (auto It = Oracle.HeapEdges.begin();
+           It != Oracle.HeapEdges.end();) {
+        if (It->second.FromRegion == R || It->second.ToRegion == R)
+          It = Oracle.HeapEdges.erase(It);
+        else
+          ++It;
+      }
+      if (Oracle.GlobalTarget == R) {
+        // The global still points into freed pages: clear it without
+        // barrier effects (regionOf is already null for freed pages).
+        GlobalSlot = nullptr;
+        Oracle.GlobalTarget = -1;
+      }
+      Regions[R] = nullptr;
+      // Verify the survivors immediately: the cleanup scan must have
+      // decremented exactly the dead region's outgoing references.
+      for (int S = 0; S != kRegions; ++S) {
+        if (!Regions[S])
+          continue;
+        ASSERT_EQ(Regions[S]->referenceCount(),
+                  Oracle.expectedCount(S, true))
+            << "after deleting region " << R << ", survivor " << S;
+      }
+    }
+    std::vector<int> Live;
+    for (int R = 0; R != kRegions; ++R)
+      if (Regions[R])
+        Live.push_back(R);
+    if (Live.empty())
+      break;
+    int Freed = Live[Rng.nextBelow(Live.size())];
     for (auto It = Oracle.HeapEdges.begin();
          It != Oracle.HeapEdges.end();) {
-      if (It->second.FromRegion == R || It->second.ToRegion == R)
-        It = Oracle.HeapEdges.erase(It);
-      else
+      if (It->second.ToRegion != Freed || It->second.FromRegion == Freed) {
         ++It;
+        continue;
+      }
+      *static_cast<RegionPtr<NodeT> *>(const_cast<void *>(It->first)) =
+          nullptr;
+      It = Oracle.HeapEdges.erase(It);
     }
-    if (Oracle.GlobalTarget == R) {
-      // The global still points into freed pages: clear it without
-      // barrier effects (regionOf is already null for freed pages).
+    if (Oracle.GlobalTarget == Freed) {
       GlobalSlot = nullptr;
       Oracle.GlobalTarget = -1;
     }
-    Regions[R] = nullptr;
-    // Verify the survivors immediately: the cleanup scan must have
-    // decremented exactly the dead region's outgoing references.
-    for (int S = 0; S != kRegions; ++S) {
-      if (!Regions[S])
-        continue;
-      ASSERT_EQ(Regions[S]->referenceCount(),
-                Oracle.expectedCount(S, true))
-          << "after deleting region " << R << ", survivor " << S;
-    }
   }
+  for (int R = 0; R != kRegions; ++R)
+    EXPECT_EQ(Regions[R], nullptr) << "region " << R << " never deleted";
+}
+
+TEST_P(RegionPropertyTest, CountsMatchTheModel) {
+  countsMatchTheModel<Node>(GetParam());
+}
+
+TEST_P(RegionPropertyTest, CountsMatchTheModelCountOnlyNode) {
+  countsMatchTheModel<CountOnlyNode>(GetParam());
 }
 
 TEST_P(RegionPropertyTest, LocalsNeverAffectCountsUntilScan) {

@@ -475,6 +475,99 @@ TEST_F(RegionTest, ScannedMemoryIsZeroedOnRecycledPages) {
 }
 
 //===----------------------------------------------------------------------===//
+// Skipping the cleanup scan
+//===----------------------------------------------------------------------===//
+
+/// A node whose destructor only destroys its RegionPtr, marked so.
+struct CountOnlyNode {
+  RegionPtr<CountOnlyNode> Next;
+  int Value = 0;
+  using RegionCountOnly = CountOnlyNode;
+};
+
+/// Inherits the base's marker alias, which names the base: the
+/// derived type's own destructor must not hide behind it.
+struct FinalizingNode : CountOnlyNode {
+  explicit FinalizingNode(int *Counter) : Counter(Counter) {}
+  ~FinalizingNode() { ++*Counter; }
+  int *Counter;
+};
+
+static_assert(!detail::mayFinalize<CountOnlyNode>, "marked");
+static_assert(detail::mayFinalize<FinalizingNode>, "marker is per type");
+static_assert(detail::mayFinalize<Tracked>, "unmarked");
+
+/// Fills \p R with sameregion-linked marked nodes.
+void fillCountOnly(Region *R, int N) {
+  CountOnlyNode *Prev = nullptr;
+  for (int I = 0; I != N; ++I) {
+    auto *Node = rnew<CountOnlyNode>(R);
+    Node->Next = Prev;
+    Prev = Node;
+  }
+  rnewArray<CountOnlyNode>(R, 4);
+}
+
+TEST_F(RegionTest, MarkedObjectsWithoutOutRefsRunNoThunks) {
+  Region *R = Mgr.newRegion();
+  fillCountOnly(R, 300); // more than one normal page
+  EXPECT_EQ(R->outRefs(), 0);
+  EXPECT_FALSE(R->mayFinalize());
+  RegionStats Before = Mgr.stats();
+  ASSERT_TRUE(Mgr.resetRegion(R));
+  RegionStats AfterReset = Mgr.stats();
+  EXPECT_EQ(AfterReset.CleanupThunksRun, Before.CleanupThunksRun);
+  EXPECT_EQ(AfterReset.CleanupScansSkipped, Before.CleanupScansSkipped + 1);
+
+  fillCountOnly(R, 300);
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+  RegionStats AfterDelete = Mgr.stats();
+  EXPECT_EQ(AfterDelete.CleanupThunksRun, Before.CleanupThunksRun);
+  EXPECT_EQ(AfterDelete.CleanupScansSkipped, Before.CleanupScansSkipped + 2);
+}
+
+TEST_F(RegionTest, UnmarkedDestructorStillRunsOnDeleteAndReset) {
+  int Count = 0;
+  Region *R = Mgr.newRegion();
+  fillCountOnly(R, 10);
+  rnew<Tracked>(R, &Count);
+  EXPECT_TRUE(R->mayFinalize());
+  std::uint64_t Skipped = Mgr.stats().CleanupScansSkipped;
+  ASSERT_TRUE(Mgr.resetRegion(R));
+  EXPECT_EQ(Count, 1) << "one finalizer makes the whole scan run";
+
+  // The reset incarnation starts with the bit clear; a derived type
+  // that did not mark itself sets it again.
+  EXPECT_FALSE(R->mayFinalize());
+  rnew<FinalizingNode>(R, &Count);
+  EXPECT_TRUE(R->mayFinalize());
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+  EXPECT_EQ(Count, 2);
+  EXPECT_EQ(Mgr.stats().CleanupScansSkipped, Skipped);
+}
+
+TEST_F(RegionTest, DirectAllocScannedMayFinalizeByDefault) {
+  static int Calls = 0;
+  Calls = 0;
+  ScanThunk Thunk = [](void *) -> std::size_t {
+    ++Calls;
+    return 32;
+  };
+  Region *R = Mgr.newRegion();
+  Mgr.allocScanned(R, 32, Thunk);
+  EXPECT_TRUE(R->mayFinalize());
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+  EXPECT_EQ(Calls, 1);
+
+  // A caller that promises a size-only thunk lets deletion skip it.
+  Region *Quiet = Mgr.newRegion();
+  Mgr.allocScanned(Quiet, 32, Thunk, /*MayFinalize=*/false);
+  EXPECT_FALSE(Quiet->mayFinalize());
+  ASSERT_TRUE(Mgr.deleteRegionRaw(Quiet));
+  EXPECT_EQ(Calls, 1);
+}
+
+//===----------------------------------------------------------------------===//
 // Allocation-size overflow
 //===----------------------------------------------------------------------===//
 
