@@ -151,9 +151,9 @@ void BM_RegionOf(benchmark::State &State) {
 }
 BENCHMARK(BM_RegionOf);
 
-/// Worst case for the hot-arena cache: pointers from two managers
-/// alternate, so every lookup misses the cached arena and takes the
-/// out-of-line registry scan.
+/// The two-manager lookup check: pointers from two managers alternate.
+/// Each manager owns a fixed slot of one span, so each of the two
+/// lookups should cost what BM_RegionOf's one does.
 void BM_RegionOfAlternatingArenas(benchmark::State &State) {
   RegionManager Mgr1{SafetyConfig::safeConfig(), std::size_t{64} << 20};
   RegionManager Mgr2{SafetyConfig::safeConfig(), std::size_t{64} << 20};

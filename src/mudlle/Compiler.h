@@ -149,7 +149,8 @@ private:
       std::uint32_t NewCap = Buf.Cap ? Buf.Cap * 2 : 64;
       auto *NewData = static_cast<std::uint32_t *>(
           Mem.allocBytes(*FnScope, NewCap * 4));
-      std::memcpy(NewData, Buf.Data, Buf.Len * 4);
+      if (Buf.Len) // the first growth has no buffer to copy from
+        std::memcpy(NewData, Buf.Data, Buf.Len * 4);
       Buf.Data = NewData;
       Buf.Cap = NewCap;
     }

@@ -193,7 +193,7 @@ void RegionManager::dumpHeap(std::FILE *Out) const {
     std::fprintf(Out,
                  "region #%u: rc=%lld outrefs=%lld finalize=%d allocs=%zu "
                  "bytes=%zu runs=%u%s\n",
-                 R->Id, R->RC, R->OutRefs, R->MayFinalize ? 1 : 0,
+                 R->Id, R->RC, R->outRefs(), R->MayFinalize ? 1 : 0,
                  R->NumAllocs, R->ReqBytes, R->NumRuns,
                  R->CountRefs ? "" : " (uncounted)");
     for (std::uint32_t I = 0; I != R->NumRuns; ++I) {

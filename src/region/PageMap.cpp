@@ -7,98 +7,57 @@
 #include "region/PageMap.h"
 #include "support/Compiler.h"
 
-#include <cassert>
+#include <bit>
 #include <mutex>
+#include <sys/mman.h>
 
 namespace regions {
 namespace detail {
 
-ArenaInfo GArenas[kMaxArenas];
-std::atomic<unsigned> GNumArenas{0};
-std::atomic<const ArenaInfo *> GHotArena{GArenas};
-std::atomic<std::uint64_t> GArenaSeq{0};
+ArenaSpan GSpan;
 
 namespace {
-/// Guards registry mutation; lookups read without the lock. The
-/// allocator/barrier paths (regionOf) rely on the quiescence contract —
-/// an arena they probe outlives the probe — while the cross-thread
-/// resolve path (regionOfStable) may race an unrelated manager's death
-/// and revalidates against GArenaSeq instead.
-std::mutex GArenaLock;
+/// Guards slot claims and the one-time span reservation; lookups read
+/// the span without it.
+std::mutex GSlotLock;
+std::uint32_t GSlotsInUse = 0; ///< bit I set: slot I is claimed
+static_assert(kMaxArenas == 32, "GSlotsInUse holds one bit per slot");
 
-/// Marks a registry mutation window for seqlock readers: odd while the
-/// table is inconsistent. Caller holds GArenaLock.
-struct MutationScope {
-  MutationScope() { GArenaSeq.fetch_add(1, std::memory_order_acq_rel); }
-  ~MutationScope() { GArenaSeq.fetch_add(1, std::memory_order_release); }
-};
+void *reserve(std::size_t Bytes, int Prot) {
+  void *Mem = mmap(nullptr, Bytes, Prot,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Mem == MAP_FAILED)
+    reportFatalError("RegionManager: cannot reserve the arena span");
+  return Mem;
+}
 } // namespace
 
-void registerArena(const void *Base, std::size_t NumPages,
-                   Region *const *Map) {
-  std::lock_guard<std::mutex> Guard(GArenaLock);
-  unsigned N = GNumArenas.load(std::memory_order_relaxed);
-  if (N == kMaxArenas)
-    reportFatalError("too many live RegionManagers (arena registry full)");
-  MutationScope Mutating;
-  auto Addr = reinterpret_cast<std::uintptr_t>(Base);
-  GArenas[N].Base.store(Addr, std::memory_order_relaxed);
-  GArenas[N].Size.store(NumPages * kPageSize, std::memory_order_relaxed);
-  GArenas[N].Map.store(Map, std::memory_order_relaxed);
-  GNumArenas.store(N + 1, std::memory_order_relaxed);
+ArenaSlot::ArenaSlot(std::size_t ReserveBytes) {
+  if (ReserveBytes > kArenaSlotBytes)
+    reportFatalError("RegionManager: ReserveBytes exceeds the 2 GiB arena "
+                     "slot");
+  std::lock_guard<std::mutex> Guard(GSlotLock);
+  if (!GSpan.Size.load(std::memory_order_relaxed)) {
+    // Untouched map pages read as zero: "no region" until a manager
+    // writes its slice.
+    auto *Map = static_cast<Region **>(reserve(
+        (kArenaSpanBytes >> kPageShift) * sizeof(Region *),
+        PROT_READ | PROT_WRITE));
+    void *Span = reserve(kArenaSpanBytes, PROT_NONE);
+    GSpan.Base.store(reinterpret_cast<std::uintptr_t>(Span),
+                     std::memory_order_relaxed);
+    GSpan.Map.store(Map, std::memory_order_relaxed);
+    GSpan.Size.store(kArenaSpanBytes, std::memory_order_release);
+  }
+  if (GSlotsInUse == ~std::uint32_t{0})
+    reportFatalError("too many live RegionManagers (no free arena slot)");
+  Index = static_cast<unsigned>(std::countr_one(GSlotsInUse));
+  GSlotsInUse |= std::uint32_t{1} << Index;
 }
 
-void unregisterArena(const void *Base) {
-  std::lock_guard<std::mutex> Guard(GArenaLock);
-  auto Addr = reinterpret_cast<std::uintptr_t>(Base);
-  unsigned N = GNumArenas.load(std::memory_order_relaxed);
-  for (unsigned I = 0; I != N; ++I) {
-    if (GArenas[I].Base.load(std::memory_order_relaxed) != Addr)
-      continue;
-    MutationScope Mutating;
-    ArenaInfo &Last = GArenas[N - 1];
-    GArenas[I].Base.store(Last.Base.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    GArenas[I].Size.store(Last.Size.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    GArenas[I].Map.store(Last.Map.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    // Clear the vacated slot so a stale hot-arena pointer can never
-    // match an address against the dead (possibly unmapped) arena.
-    Last.Base.store(0, std::memory_order_relaxed);
-    Last.Size.store(0, std::memory_order_relaxed);
-    Last.Map.store(nullptr, std::memory_order_relaxed);
-    GNumArenas.store(N - 1, std::memory_order_relaxed);
-    GHotArena.store(GArenas, std::memory_order_relaxed);
-    return;
-  }
-  assert(false && "unregisterArena: arena was never registered");
-}
-
-Region *regionOfSlow(std::uintptr_t Addr) {
-  unsigned E = GNumArenas.load(std::memory_order_relaxed);
-  for (unsigned I = 0; I != E; ++I) {
-    const ArenaInfo &A = GArenas[I];
-    std::uintptr_t Base = A.Base.load(std::memory_order_relaxed);
-    if (Addr - Base < A.Size.load(std::memory_order_relaxed)) {
-      GHotArena.store(&A, std::memory_order_relaxed);
-      return A.Map.load(std::memory_order_relaxed)[(Addr - Base) >>
-                                                   kPageShift];
-    }
-  }
-  return nullptr;
-}
-
-Region *regionOfSlowNoCache(std::uintptr_t Addr) {
-  unsigned E = GNumArenas.load(std::memory_order_relaxed);
-  for (unsigned I = 0; I != E; ++I) {
-    const ArenaInfo &A = GArenas[I];
-    std::uintptr_t Base = A.Base.load(std::memory_order_relaxed);
-    if (Addr - Base < A.Size.load(std::memory_order_relaxed))
-      return A.Map.load(std::memory_order_relaxed)[(Addr - Base) >>
-                                                   kPageShift];
-  }
-  return nullptr;
+ArenaSlot::~ArenaSlot() {
+  std::lock_guard<std::mutex> Guard(GSlotLock);
+  GSlotsInUse &= ~(std::uint32_t{1} << Index);
 }
 
 void rsanCheckDeref(const void *Ptr, const Region *Expected) {

@@ -7,18 +7,21 @@
 /// \file
 /// The paper's allocators "maintain an array mapping page addresses
 /// (i.e., memory addresses / 4K) to regions" (§4.1); \c regionOf is the
-/// primitive every reference-count operation is built on. Each
-/// RegionManager reserves one contiguous arena, so the map is a flat
-/// array indexed by page number within the arena. A small global arena
-/// registry lets \c regionOf classify *any* pointer: addresses outside
-/// every arena (stack, globals, malloc memory) yield nullptr, which is
-/// exactly the "not in a region" answer the write barrier needs.
+/// primitive every reference-count operation is built on. That array is
+/// taken literally here: the first RegionManager reserves one span of
+/// address space (PROT_NONE, never unmapped) cut into kMaxArenas fixed
+/// slots, plus one flat page map over the whole span. Each manager
+/// claims a slot for its life, carves its pages inside it, and writes
+/// only that slot's slice of the map.
 ///
-/// Nearly every workload runs a single manager, and even multi-manager
-/// programs hit the same arena repeatedly, so regionOf checks a cached
-/// most-recently-hit arena first: the common case is one bounds test
-/// and one map load. Misses (other arenas, or a non-arena address) take
-/// the out-of-line registry scan, which refreshes the cache.
+/// A slot never moves and the span's bounds never change once
+/// published, so \c regionOf is one subtraction, one compare and one
+/// map load, for every manager alike. Addresses outside the span
+/// (stack, globals, malloc memory, null) fail the compare and yield
+/// nullptr, which is exactly the "not in a region" answer the write
+/// barrier needs; so do span pages no live region owns, because a
+/// retiring manager clears its map slice before its slot can be claimed
+/// again (see ArenaSlot).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +29,9 @@
 #define REGION_PAGEMAP_H
 
 #include "support/Align.h"
-#include "support/Compiler.h"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 namespace regions {
@@ -37,56 +40,60 @@ class Region;
 
 namespace detail {
 
-/// One registered arena: [Base, Base + Size) plus its page-to-region
-/// map. Size is stored precomputed so the lookup fast path is a single
-/// subtraction and compare per address. The fields are relaxed atomics
-/// — identical codegen to plain words on the lookup paths — because
-/// unregisterArena compacts the registry in place while lock-free
-/// readers may be scanning it; logical consistency across the three
-/// words comes from GArenaSeq below, not from the per-field atomicity.
-struct ArenaInfo {
-  std::atomic<std::uintptr_t> Base;
-  std::atomic<std::uintptr_t> Size;
-  std::atomic<Region *const *> Map;
-};
-
+/// At most this many RegionManagers are live at once.
 inline constexpr unsigned kMaxArenas = 32;
 
-extern ArenaInfo GArenas[kMaxArenas];
-extern std::atomic<unsigned> GNumArenas;
+/// Each manager's slot: the largest reserve any caller passes. A
+/// manager's ReserveBytes caps its use inside the slot; a manager never
+/// spans two slots.
+inline constexpr std::size_t kArenaSlotBytes = std::size_t{2} << 30;
+inline constexpr std::size_t kArenaSlotPages = kArenaSlotBytes >> kPageShift;
+inline constexpr std::size_t kArenaSpanBytes = kMaxArenas * kArenaSlotBytes;
 
-/// Registry generation, seqlock style: odd while registerArena /
-/// unregisterArena mutate the table, even when it is stable, bumped on
-/// both sides of every mutation. Readers that may legitimately race a
-/// manager's death (the parallel resolving exchange — see
-/// regionOfStable) snapshot it, scan, and retry if it moved; the
-/// allocator and write-barrier paths skip the validation entirely
-/// because their probed arenas outlive the probe by contract.
-extern std::atomic<std::uint64_t> GArenaSeq;
+/// The reserved span. Size is 0 until the first manager publishes Base
+/// and Map, then kArenaSpanBytes for the rest of the process, so every
+/// lookup before then misses. Readers load Size first with acquire:
+/// whoever sees the published Size also sees Base and Map.
+struct ArenaSpan {
+  std::atomic<std::uintptr_t> Size{0};
+  std::atomic<std::uintptr_t> Base{0};
+  std::atomic<Region **> Map{nullptr};
+};
 
-/// The most recently hit arena entry; regionOf's fast path probes it
-/// before falling back to the full registry scan. Points at GArenas[0]
-/// (all-zero while empty, so every probe misses) until a lookup hits.
-/// A pointer rather than an index: the probe setup is then a load of
-/// three adjacent words with no indexing arithmetic. Relaxed atomic: a
-/// stale value only costs a slow-path trip, never a wrong answer.
-extern std::atomic<const ArenaInfo *> GHotArena;
+extern ArenaSpan GSpan;
 
-/// Registers \p Map for [Base, Base + NumPages*kPageSize). Fatal if the
-/// registry is full. Called by RegionManager construction.
-void registerArena(const void *Base, std::size_t NumPages,
-                   Region *const *Map);
+/// A manager's claim on one slot, held for the manager's life. The
+/// constructor reserves the span on first use and claims the lowest
+/// free slot; it is fatal when \p ReserveBytes exceeds the slot size or
+/// every slot is taken. The destructor frees the slot for the next
+/// claimant. RegionManager declares its slot before its PageSource, so
+/// the retire order is fixed by member destruction: the manager clears
+/// its map slice, the PageSource re-protects the slot's pages, and only
+/// then does the slot become claimable.
+class ArenaSlot {
+public:
+  explicit ArenaSlot(std::size_t ReserveBytes);
+  ~ArenaSlot();
 
-/// Removes a previously registered arena.
-void unregisterArena(const void *Base);
+  ArenaSlot(const ArenaSlot &) = delete;
+  ArenaSlot &operator=(const ArenaSlot &) = delete;
 
-/// Full registry scan for addresses missing the hot-arena cache;
-/// refreshes the cache on a hit.
-Region *regionOfSlow(std::uintptr_t Addr);
+  /// First byte of the slot.
+  char *base() const {
+    return reinterpret_cast<char *>(
+               GSpan.Base.load(std::memory_order_relaxed)) +
+           Index * kArenaSlotBytes;
+  }
 
-/// Registry scan that does NOT refresh the hot-arena cache. Backs
-/// regionOfStable() below.
-Region *regionOfSlowNoCache(std::uintptr_t Addr);
+  /// The slot's slice of the page map, indexed by page within the slot.
+  Region **map() const {
+    return GSpan.Map.load(std::memory_order_relaxed) +
+           Index * kArenaSlotPages;
+  }
+
+private:
+  unsigned Index;
+};
 
 /// rsan checked dereference (RGN_HARDEN; see support/Harden.h): fatal
 /// unless \p Ptr still resolves to \p Expected in the page map, i.e.
@@ -95,42 +102,27 @@ Region *regionOfSlowNoCache(std::uintptr_t Addr);
 /// check never bloats dereference sites.
 void rsanCheckDeref(const void *Ptr, const Region *Expected);
 
-} // namespace detail
-
-namespace detail {
-
-/// A snapshot of the hot arena, for resolving several addresses with a
-/// single load of the registry state. The write barrier classifies up
-/// to three addresses (old value, new value, slot) per store; probing
-/// them through one snapshot replaces three independent hot-arena reads
-/// with one, and each lookup is then a subtraction, a bounds test, and
-/// a map load. A miss falls back to the registry scan, which refreshes
-/// the global hot-arena cache (but not this snapshot — a stale snapshot
-/// only costs slow-path trips, never a wrong answer).
+/// The span read once, for resolving several addresses. The write
+/// barrier classifies up to three addresses (old value, new value,
+/// slot) per store; each lookup through one probe is a subtraction, a
+/// compare and a map load.
 class ArenaProbe {
 public:
   ArenaProbe() {
-    const ArenaInfo *Hot = GHotArena.load(std::memory_order_relaxed);
-    Base = Hot->Base.load(std::memory_order_relaxed);
-    Size = Hot->Size.load(std::memory_order_relaxed);
-    Map = Hot->Map.load(std::memory_order_relaxed);
+    Size = GSpan.Size.load(std::memory_order_acquire);
+    Base = GSpan.Base.load(std::memory_order_relaxed);
+    Map = GSpan.Map.load(std::memory_order_relaxed);
   }
 
   Region *lookup(const void *Ptr) const {
-    auto Addr = reinterpret_cast<std::uintptr_t>(Ptr);
-    if (Addr - Base < Size)
-      return Map[(Addr - Base) >> kPageShift];
-    if (!Addr)
-      return nullptr; // null is never in a region; skip the registry
-    return regionOfSlow(Addr);
+    std::uintptr_t Off = reinterpret_cast<std::uintptr_t>(Ptr) - Base;
+    return Off < Size ? Map[Off >> kPageShift] : nullptr;
   }
 
-  /// Resolves two addresses with a single OR-combined bounds test. For
-  /// power-of-two arena sizes (the default reservation) the combined
-  /// test is exact; otherwise it can conservatively fail even when both
-  /// addresses are in range. Returns false on a miss without touching
-  /// the outputs — the caller falls back to per-address lookups, so a
-  /// conservative failure costs only speed, never correctness.
+  /// Resolves two addresses with a single OR-combined bounds test,
+  /// exact because the span size is a power of two (or 0). Returns
+  /// false, without touching the outputs, when either address is
+  /// outside the span; the caller then looks each up on its own.
   bool lookupBoth(const void *P1, const void *P2, Region *&R1,
                   Region *&R2) const {
     auto O1 = reinterpret_cast<std::uintptr_t>(P1) - Base;
@@ -143,10 +135,13 @@ public:
   }
 
 private:
-  std::uintptr_t Base;
   std::uintptr_t Size;
+  std::uintptr_t Base;
   Region *const *Map;
 };
+
+static_assert((kArenaSpanBytes & (kArenaSpanBytes - 1)) == 0,
+              "lookupBoth's combined test needs a power-of-two span");
 
 } // namespace detail
 
@@ -154,56 +149,7 @@ private:
 /// point into any live region's pages (stack, global, malloc or freed
 /// memory). Interior pointers resolve to their region, as in the paper.
 inline Region *regionOf(const void *Ptr) {
-  auto Addr = reinterpret_cast<std::uintptr_t>(Ptr);
-  const detail::ArenaInfo *Hot =
-      detail::GHotArena.load(std::memory_order_relaxed);
-  std::uintptr_t Base = Hot->Base.load(std::memory_order_relaxed);
-  if (Addr - Base < Hot->Size.load(std::memory_order_relaxed))
-    return Hot->Map.load(std::memory_order_relaxed)[(Addr - Base) >>
-                                                    kPageShift];
-  return detail::regionOfSlow(Addr);
-}
-
-/// regionOf for cross-arena probes: same answer, but a miss of the
-/// hot-arena cache scans the registry *without* refreshing the cache.
-/// The parallel resolving exchange (Parallel.h) classifies pointers it
-/// displaced from a shared slot, which in pipeline workloads belong to
-/// *other* threads' arenas; letting those probes steal the hot-arena
-/// entry would evict the arena the calling thread's own allocator and
-/// write-barrier fast paths are working from, trading one thread's
-/// resolve miss for many barrier misses. Use regionOf() everywhere the
-/// probed address correlates with the caller's next ones.
-///
-/// Unlike regionOf(), this path is seqlock-validated against GArenaSeq:
-/// a resolve probe classifies a pointer another thread displaced, and
-/// may run exactly while an unrelated manager dies and unregisterArena
-/// compacts the registry under it. (The displaced reference's own
-/// arena cannot die — the undropped count keeps its region's sum
-/// positive — but the registry slot it sits in can move.) The barrier
-/// and allocator paths keep the unvalidated fast path: their probed
-/// arenas outlive the probe by the quiescence contract, and the
-/// validation would tax every store.
-inline Region *regionOfStable(const void *Ptr) {
-  auto Addr = reinterpret_cast<std::uintptr_t>(Ptr);
-  for (;;) {
-    std::uint64_t Seq = detail::GArenaSeq.load(std::memory_order_acquire);
-    if (RGN_UNLIKELY(Seq & 1))
-      continue; // mutation in flight; reread
-    const detail::ArenaInfo *Hot =
-        detail::GHotArena.load(std::memory_order_relaxed);
-    Region *R;
-    std::uintptr_t Base = Hot->Base.load(std::memory_order_relaxed);
-    if (Addr - Base < Hot->Size.load(std::memory_order_relaxed))
-      R = Hot->Map.load(std::memory_order_relaxed)[(Addr - Base) >>
-                                                   kPageShift];
-    else
-      R = detail::regionOfSlowNoCache(Addr);
-    // Order the scan's loads before the revalidation load.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (RGN_LIKELY(detail::GArenaSeq.load(std::memory_order_relaxed) ==
-                   Seq))
-      return R;
-  }
+  return detail::ArenaProbe().lookup(Ptr);
 }
 
 } // namespace regions

@@ -193,11 +193,10 @@ SharedRegion *resolveSharedStale(const Region *R, const SharedRegion *S,
 /// record holding its counts, or nullptr when the pointer is not in a
 /// currently-shared region (null, stack/global/malloc memory, a
 /// private region, or a region this space never saw). Page-map first:
-/// regionOfStable() names the region without disturbing the caller's
-/// hot-arena cache, the region's binding — published by share(),
-/// retired by tryDelete() — names the record, and the generation stamp
-/// proves the record still serves *this* region rather than having
-/// been pooled and rebound between the two loads.
+/// regionOf() names the region, the region's binding — published by
+/// share(), retired by tryDelete() — names the record, and the
+/// generation stamp proves the record still serves *this* region
+/// rather than having been pooled and rebound between the two loads.
 ///
 /// Liveness: while the displaced reference is still undropped, the sum
 /// of the region's local counts is at least one (whoever installed the
@@ -205,11 +204,11 @@ SharedRegion *resolveSharedStale(const Region *R, const SharedRegion *S,
 /// metadata and the binding stay readable for the resolve window. This
 /// is the same argument that makes the counting protocol sound; a
 /// program that reaches a resolve with a reference the counts never
-/// saw was already broken before the resolve.
+/// saw was already broken before the resolve. The page-map entry the
+/// probe reads belongs to that region's manager's slot, which no other
+/// manager's birth or death writes (region/PageMap.h).
 inline SharedRegion *resolveSharedRegion(const void *Ptr) {
-  if (!Ptr)
-    return nullptr;
-  Region *R = regionOfStable(Ptr);
+  Region *R = regionOf(Ptr);
   if (!R)
     return nullptr;
   SharedRegion *S = R->sharedBinding();

@@ -26,12 +26,8 @@ static_assert(std::is_trivially_destructible_v<Region>,
               "Region is reclaimed as raw pages, never destroyed");
 
 RegionManager::RegionManager(SafetyConfig Config, std::size_t ReserveBytes)
-    : Source(ReserveBytes), Cfg(Config) {
-  Map = static_cast<Region **>(
-      std::calloc(Source.reservedPages(), sizeof(Region *)));
-  if (!Map)
-    reportFatalError("RegionManager: cannot allocate page map");
-  detail::registerArena(Source.base(), Source.reservedPages(), Map);
+    : Slot(ReserveBytes), Source(ReserveBytes, Slot.base()), Map(Slot.map()),
+      Cfg(Config) {
   // Hardened builds quarantine deleted regions' pages by default;
   // kRsanDefaultQuarantinePages is zero otherwise, so this is a no-op.
   if (detail::kRsanDefaultQuarantinePages != 0)
@@ -46,8 +42,11 @@ RegionManager::~RegionManager() {
   // freeRegionMemory; release their spilled run tables here.
   for (Region *R = LiveHead; R; R = R->NextLive)
     std::free(R->OverflowRuns);
-  detail::unregisterArena(Source.base());
-  std::free(Map);
+  // Every map entry this manager wrote lies below the frontier. Clear
+  // them before Source re-protects the pages and Slot frees the slot,
+  // so a stale probe reads "not in a region" and the next claimant
+  // starts from an empty slice.
+  std::fill(Map, Map + Source.frontierPages(), nullptr);
 }
 
 void regions::Region::spillBarrierPacked() {
@@ -501,7 +500,7 @@ bool RegionManager::checkAndFinalize(Region *R, void **HandleSlot,
   // finalizer and no out-reference holds only thunks whose RegionPtr
   // destroys are sameregion or uncounted no-ops, so skip it.
   if (Cfg.CleanupScan) {
-    if (R->MayFinalize || R->OutRefs != 0)
+    if (R->MayFinalize || R->outRefs() != 0)
       runCleanups(R);
     else
       ++Stats.CleanupScansSkipped;
@@ -588,7 +587,7 @@ bool RegionManager::resetRegion(Region *R) {
   // OutRefs is zero after a cleanup scan. Without one (CleanupScan off)
   // the references stay in their targets' counts, as on deletion, and
   // the new incarnation holds none of them.
-  R->OutRefs = 0;
+  R->OutRefs.store(0, std::memory_order_relaxed);
   R->MayFinalize = false;
   R->Normal = {Page, Offset, 0};
   R->Str = {};

@@ -40,6 +40,7 @@
 #include "support/Harden.h"
 #include "support/PageSource.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
@@ -236,8 +237,10 @@ public:
   /// counting regions: the counts this region's cleanup scan would give
   /// back. The barrier's cross-region path maintains it through
   /// outRefsAdd (internal, like rcAdd).
-  long long outRefs() const { return OutRefs; }
-  void outRefsAdd(long long Delta) { OutRefs += Delta; }
+  long long outRefs() const { return OutRefs.load(std::memory_order_relaxed); }
+  void outRefsAdd(long long Delta) {
+    OutRefs.fetch_add(Delta, std::memory_order_relaxed);
+  }
 
   /// Whether some scanned allocation in this region carries a thunk
   /// that may run user code (a finalizer). Retiring a region runs its
@@ -390,10 +393,12 @@ private:
   // adjusts RC and bumps the packed statistics word, so the three share
   // one cache line (checked in newRegion). OutRefs is adjusted on the
   // slot's region instead, and read next to RC when a region retires.
+  // Threads storing into one region's slots, each pointing into its own
+  // target, share no count but do share OutRefs, so it alone is atomic.
   // The wide spill targets follow, folded like NumAllocs/ReqBytes.
   std::uint64_t BarrierPacked = 0;
   long long RC = 0;
-  long long OutRefs = 0;
+  std::atomic<long long> OutRefs{0};
   bool CountRefs = false;
   std::uint64_t BarrierStoresDelta = 0;
   std::uint64_t BarrierSameRegionDelta = 0;
@@ -548,8 +553,11 @@ RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
 /// own), but regionOf() resolves pointers across all live managers.
 class RegionManager {
 public:
-  /// Creates a manager. \p ReserveBytes bounds the total memory all of
-  /// this manager's regions can ever hold (virtual reservation only).
+  /// Creates a manager in the lowest free arena slot (region/PageMap.h).
+  /// \p ReserveBytes bounds the total memory all of this manager's
+  /// regions can ever hold (virtual reservation only); it may not exceed
+  /// detail::kArenaSlotBytes. At most detail::kMaxArenas managers are
+  /// live at once.
   explicit RegionManager(SafetyConfig Config = SafetyConfig::safeConfig(),
                          std::size_t ReserveBytes = std::size_t{1} << 30);
 
@@ -730,8 +738,9 @@ private:
   std::size_t freeRegionMemory(Region *R);
   void setMapRange(const void *Page, std::size_t NumPages, Region *R);
 
-  PageSource Source;
-  Region **Map = nullptr; ///< page index -> owning region
+  detail::ArenaSlot Slot; ///< declared first: outlives Source (PageMap.h)
+  PageSource Source;      ///< carves inside Slot
+  Region **Map;           ///< Slot's page map slice: page index -> region
   SafetyConfig Cfg;
   /// Folded counters: region-lifecycle and barrier stats are eager;
   /// per-allocation stats cover *deleted* regions only (live regions'

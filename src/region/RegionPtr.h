@@ -41,8 +41,8 @@ namespace regions {
 namespace detail {
 
 /// The Figure 5 write barrier for `*Slot = NewVal`. One inline branch:
-/// the old and new values are classified through a single hot-arena
-/// probe, and the dominant sameregion outcome bumps only the region's
+/// the old and new values are classified through a single span probe,
+/// and the dominant sameregion outcome bumps only the region's
 /// own deferred counters — no manager state, no count adjustments. The
 /// cross-region remainder (slot classification, in-place ±1 count
 /// adjustments) is in barrierCrossRegion.
@@ -60,8 +60,8 @@ RGN_ALWAYS_INLINE void barrierAssign(void **Slot, void *NewVal) {
   Region *OldR;
   Region *NewR;
   if (!Probe.lookupBoth(OldVal, NewVal, OldR, NewR)) {
-    // One of the values is null or outside the hot arena; classify each
-    // address on its own (lookup handles null and registry misses).
+    // One of the values is null or outside the arena span; classify
+    // each address on its own.
     OldR = Probe.lookup(OldVal);
     NewR = Probe.lookup(NewVal);
   }

@@ -15,24 +15,37 @@
 
 using namespace regions;
 
-PageSource::PageSource(std::size_t ReserveBytes) {
+PageSource::PageSource(std::size_t ReserveBytes, char *Placement)
+    : Placed(Placement != nullptr) {
   TotalPages = alignTo(ReserveBytes, kPageSize) / kPageSize;
-  void *Mem = mmap(nullptr, TotalPages * kPageSize, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  // A placement is replaced by fresh pages, so the zero-state below
+  // holds whatever the range held before.
+  void *Mem = mmap(Placement, TotalPages * kPageSize, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE |
+                       (Placed ? MAP_FIXED : 0),
+                   -1, 0);
   if (Mem == MAP_FAILED)
     reportFatalError("PageSource: cannot reserve arena");
   ArenaBase = static_cast<char *>(Mem);
 }
 
 PageSource::~PageSource() {
-  if (ArenaBase) {
-    // ASan's shadow is not cleared by munmap: a later mmap that lands
-    // on this address range would inherit the quarantine/red-zone
-    // poison and trap on its first legitimate access. Clear the whole
-    // arena's shadow before giving the range back to the OS.
-    RGN_ASAN_UNPOISON(ArenaBase, TotalPages * kPageSize);
+  // ASan's shadow is not cleared by munmap or mmap: a later mapping
+  // of this address range would inherit the quarantine/red-zone poison
+  // and trap on its first legitimate access. Clear the whole arena's
+  // shadow before giving the range up.
+  RGN_ASAN_UNPOISON(ArenaBase, TotalPages * kPageSize);
+  if (!Placed) {
     munmap(ArenaBase, TotalPages * kPageSize);
+    return;
   }
+  // A placed range stays reserved for its owner: it reverts to
+  // PROT_NONE, so a stale dereference faults as after munmap, and no
+  // other mapping can land in it.
+  if (mmap(ArenaBase, TotalPages * kPageSize, PROT_NONE,
+           MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED, -1,
+           0) == MAP_FAILED)
+    reportFatalError("PageSource: cannot re-protect a placed arena");
 }
 
 void *PageSource::allocPages(std::size_t NumPages, bool *Zeroed) {

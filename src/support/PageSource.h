@@ -76,7 +76,12 @@ public:
   /// Reserves \p ReserveBytes of virtual address space (rounded up to a
   /// page multiple). The default of 1 GiB is plenty for every experiment
   /// in the paper while costing no physical memory until touched.
-  explicit PageSource(std::size_t ReserveBytes = std::size_t{1} << 30);
+  /// With a \p Placement, the arena is mapped at that address instead,
+  /// over a range the caller has reserved, and on destruction reverts to
+  /// PROT_NONE rather than being unmapped (RegionManager's arena slot;
+  /// see region/PageMap.h).
+  explicit PageSource(std::size_t ReserveBytes = std::size_t{1} << 30,
+                      char *Placement = nullptr);
 
   PageSource(const PageSource &) = delete;
   PageSource &operator=(const PageSource &) = delete;
@@ -219,6 +224,7 @@ private:
   void evictOldestQuarantined();
 
   char *ArenaBase = nullptr;
+  bool Placed;                ///< mapped into a caller's reservation
   std::size_t TotalPages = 0;
   std::size_t Frontier = 0;   ///< pages [0, Frontier) have been handed out
   std::size_t PagesInUse = 0; ///< currently allocated pages

@@ -110,7 +110,8 @@ TileResult runTile(M &Mem, const TileOptions &Opt) {
         std::uint32_t NewCap = CapTokens ? CapTokens * 2 : 256;
         auto *NewTokens = static_cast<std::uint32_t *>(
             Mem.allocBytes(Scope, NewCap * 4));
-        std::memcpy(NewTokens, Tokens, NumTokens * 4);
+        if (NumTokens) // the first growth has no buffer to copy from
+          std::memcpy(NewTokens, Tokens, NumTokens * 4);
         Tokens = NewTokens;
         CapTokens = NewCap;
       }

@@ -13,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -589,6 +592,114 @@ TEST_F(RegionTest, HugeButNonOverflowingAllocationIsFatal) {
   Region *R = Mgr.newRegion();
   EXPECT_DEATH(Mgr.allocRaw(R, SIZE_MAX - 64),
                "region allocation size overflows");
+}
+
+//===----------------------------------------------------------------------===//
+// Arena slots (PageMap.h): one span, fixed slots, one page map
+//===----------------------------------------------------------------------===//
+
+int GlobalProbe = 0;
+
+/// True iff null, stack, global and heap addresses all resolve to no
+/// region. The span never covers them, whatever managers are live.
+bool nonRegionAddressesMiss() {
+  int Local = 0;
+  void *Heap = std::calloc(1, 64);
+  bool Missed = regionOf(nullptr) == nullptr && regionOf(&Local) == nullptr &&
+                regionOf(&GlobalProbe) == nullptr && regionOf(Heap) == nullptr;
+  std::free(Heap);
+  return Missed;
+}
+
+TEST(ArenaSlotTest, DeadSlotResolvesToNullAndIsReusedZeroed) {
+  constexpr std::size_t kSmall = 512;
+  constexpr std::size_t kLarge = 6 * kPageSize;
+  char *Small;
+  char *Large;
+  {
+    RegionManager A{SafetyConfig::unsafeConfig(), std::size_t{64} << 20};
+    Region *R = A.newRegion();
+    Small = static_cast<char *>(A.allocRaw(R, kSmall));
+    Large = static_cast<char *>(A.allocRaw(R, kLarge));
+    std::memset(Small, 0xAB, kSmall);
+    std::memset(Large, 0xAB, kLarge);
+    ASSERT_EQ(regionOf(Small), R);
+    ASSERT_EQ(regionOf(Large), R);
+  }
+  EXPECT_EQ(regionOf(Small), nullptr);
+  EXPECT_EQ(regionOf(Large), nullptr);
+
+  // The next manager takes the lowest free slot, the one A left, and
+  // the same allocation sequence lands on the pages A dirtied. They
+  // are fresh to B's PageSource, so B relies on them reading zero.
+  RegionManager B{SafetyConfig::unsafeConfig(), std::size_t{64} << 20};
+  Region *R = B.newRegion();
+  auto *Words = rnewArray<std::uint64_t>(R, kSmall / sizeof(std::uint64_t));
+  auto *Bytes = static_cast<unsigned char *>(B.allocRawZeroed(R, kLarge));
+  ASSERT_EQ(static_cast<void *>(Words), static_cast<void *>(Small));
+  ASSERT_EQ(static_cast<void *>(Bytes), static_cast<void *>(Large));
+  EXPECT_EQ(regionOf(Words), R);
+  for (std::size_t I = 0; I != kSmall / sizeof(std::uint64_t); ++I)
+    ASSERT_EQ(Words[I], 0u) << "word " << I;
+  for (std::size_t I = 0; I != kLarge; ++I)
+    ASSERT_EQ(Bytes[I], 0u) << "byte " << I;
+}
+
+TEST(ArenaSlotTest, TwoLiveManagersResolveToTheirOwnRegions) {
+  RegionManager M1{SafetyConfig::safeConfig(), std::size_t{1} << 20};
+  RegionManager M2{SafetyConfig::safeConfig(), std::size_t{1} << 20};
+  Region *R1 = M1.newRegion();
+  Region *R2 = M2.newRegion();
+  void *P1 = M1.allocRaw(R1, 64);
+  void *P2 = M2.allocRaw(R2, 64);
+  auto SlotOf = [](const void *P) {
+    return (reinterpret_cast<std::uintptr_t>(P) -
+            detail::GSpan.Base.load(std::memory_order_relaxed)) /
+           detail::kArenaSlotBytes;
+  };
+  EXPECT_NE(SlotOf(P1), SlotOf(P2));
+  for (int I = 0; I != 8; ++I) {
+    EXPECT_EQ(regionOf(I % 2 ? P2 : P1), I % 2 ? R2 : R1) << "lookup " << I;
+    EXPECT_EQ(regionOf(I % 2 ? P1 : P2), I % 2 ? R1 : R2) << "lookup " << I;
+  }
+  EXPECT_TRUE(nonRegionAddressesMiss());
+}
+
+TEST(ArenaSlotTest, NonRegionAddressesMissAfterManagersDie) {
+  { RegionManager M{SafetyConfig::safeConfig(), std::size_t{1} << 20}; }
+  EXPECT_TRUE(nonRegionAddressesMiss());
+}
+
+TEST(ArenaSlotDeathTest, NonRegionAddressesMissBeforeAnyManagerExists) {
+  // A threadsafe death test re-runs only this test in a fresh process,
+  // so the child probes before any span has been reserved.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        bool Unreserved =
+            detail::GSpan.Size.load(std::memory_order_relaxed) == 0;
+        std::fprintf(stderr, "unreserved=%d missed=%d\n", Unreserved,
+                     nonRegionAddressesMiss());
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "unreserved=1 missed=1");
+}
+
+TEST(ArenaSlotDeathTest, ThirtyThirdLiveManagerIsFatal) {
+  EXPECT_DEATH(
+      {
+        std::vector<std::unique_ptr<RegionManager>> Live;
+        for (unsigned I = 0; I <= detail::kMaxArenas; ++I)
+          Live.push_back(std::make_unique<RegionManager>(
+              SafetyConfig::unsafeConfig(), std::size_t{1} << 20));
+      },
+      "no free arena slot");
+}
+
+TEST(ArenaSlotDeathTest, ReserveAboveTheSlotSizeIsFatal) {
+  EXPECT_DEATH(RegionManager(SafetyConfig::unsafeConfig(),
+                             detail::kArenaSlotBytes + kPageSize),
+               "exceeds the 2 GiB arena slot");
 }
 
 } // namespace

@@ -40,8 +40,9 @@ struct Node {
 
 TEST(ThreadStressTest, PerThreadManagersChurnIndependently) {
   // Each thread runs its own manager — the design's intended mode.
-  // The only shared state is the global arena registry the barrier's
-  // region lookups read, exercised by kThreads managers at once.
+  // The only shared state is the arena span and its page map, which
+  // the barrier's region lookups read while kThreads managers claim,
+  // write and free their own slots at once.
   constexpr int kThreads = 8;
   constexpr int kRounds = 200;
   std::vector<std::thread> Threads;
