@@ -133,8 +133,13 @@ SharedRegion *ParallelSpace::share(Region *R) {
     S->Local = new SharedRegion::PaddedCount[Want];
     S->NumSlots = Want;
   } else {
+    // A retired record's sum is zero, not each slot (+1 on one thread,
+    // -1 on another). Clear only the slots that are not zero already:
+    // the rest are lines other threads' tryDelete sums keep cached,
+    // and rewriting a zero would invalidate them on every share.
     for (unsigned I = 0; I != S->NumSlots; ++I)
-      S->Local[I].Count.store(0, std::memory_order_relaxed);
+      if (S->Local[I].Count.load(std::memory_order_relaxed) != 0)
+        S->Local[I].Count.store(0, std::memory_order_relaxed);
   }
   S->Detached.store(0, std::memory_order_relaxed);
   S->Deleting.store(false, std::memory_order_relaxed);

@@ -129,6 +129,14 @@ public:
     return Sum;
   }
 
+  /// Thread \p Tid's own count, or the detached count when \p Tid is
+  /// beyond this record's array (diagnostics and tests; the sum above
+  /// is what deletion reads).
+  std::int64_t localCount(unsigned Tid) const {
+    return Tid < NumSlots ? Local[Tid].Count.load(std::memory_order_relaxed)
+                          : Detached.load(std::memory_order_relaxed);
+  }
+
   /// Occupancy stamp: odd while the record serves a region, even while
   /// retired/pooled. share() bumps it when (re)binding the record to a
   /// region and copies the new value into the region's binding;
@@ -144,8 +152,9 @@ private:
   friend class ParallelSpace;
 
   struct alignas(64) PaddedCount {
-    // Relaxed atomics: each slot is written by one thread only; other
-    // threads read it only under the deletion protocol.
+    // One writer per slot: thread Tid (see adjust()). share() clears
+    // it and unregisterThread() banks it while no thread adjusts it;
+    // other threads only read it, under the deletion protocol.
     std::atomic<std::int64_t> Count{0};
   };
 
@@ -264,14 +273,8 @@ public:
 
   /// Adjusts the calling thread's local count for \p S — no
   /// synchronization, no communication (paper's fast path).
-  void addRef(SharedRegion *S, unsigned Tid) {
-    rsanCheckLive(S);
-    countSlot(S, Tid).fetch_add(1, std::memory_order_relaxed);
-  }
-  void dropRef(SharedRegion *S, unsigned Tid) {
-    rsanCheckLive(S);
-    countSlot(S, Tid).fetch_sub(1, std::memory_order_relaxed);
-  }
+  void addRef(SharedRegion *S, unsigned Tid) { adjust(S, Tid, 1); }
+  void dropRef(SharedRegion *S, unsigned Tid) { adjust(S, Tid, -1); }
 
   /// The paper's shared-slot write, resolving form: atomically
   /// exchanges \p Slot to \p NewVal and adjusts only the calling
@@ -404,12 +407,20 @@ private:
     }
   }
 
-  /// Where thread \p Tid's adjustments to \p S accumulate: a private
-  /// padded slot when the index fits S's array, the shared detached
-  /// counter otherwise.
-  static std::atomic<std::int64_t> &countSlot(SharedRegion *S,
-                                              unsigned Tid) {
-    return Tid < S->NumSlots ? S->Local[Tid].Count : S->Detached;
+  /// Adds \p Delta to thread \p Tid's count for \p S. A slot inside S's
+  /// array has one writer, thread \p Tid, so a relaxed load and store
+  /// suffice: no other thread's write can fall between them, and
+  /// readers see either value. The detached counter is shared by every
+  /// thread beyond the array and keeps the atomic add.
+  static void adjust(SharedRegion *S, unsigned Tid, std::int64_t Delta) {
+    rsanCheckLive(S);
+    if (RGN_LIKELY(Tid < S->NumSlots)) {
+      std::atomic<std::int64_t> &C = S->Local[Tid].Count;
+      C.store(C.load(std::memory_order_relaxed) + Delta,
+              std::memory_order_relaxed);
+    } else {
+      S->Detached.fetch_add(Delta, std::memory_order_relaxed);
+    }
   }
 
   Shard Shards[kNumShards];

@@ -162,13 +162,14 @@ char *RegionManager::newPage(Region *R, PageKind Kind) {
 }
 
 Region *RegionManager::newRegion() {
+  // A recycled first page is left dirty, as resetRegion leaves it: the
+  // end marker below terminates the cleanup scan, and per-object
+  // zeroing on the fast path covers ZeroMemory. Clearing it here would
+  // write every line of a page the previous owner (often another
+  // thread) may still hold in its cache.
   bool Zeroed = false;
   char *Page = static_cast<char *>(Source.allocPages(1, &Zeroed));
   std::uint16_t Flags = Zeroed ? kPageZeroTail : 0;
-  if (!Zeroed && Cfg.ZeroMemory) {
-    std::memset(Page + sizeof(PageHeader), 0, kPageSize - sizeof(PageHeader));
-    Flags = kPageZeroTail;
-  }
   *headerOf(Page) = {nullptr, 0, PageKind::Normal, Flags};
 
   // The region structure lives in its own first page, offset by
@@ -567,9 +568,8 @@ bool RegionManager::resetRegion(Region *R) {
 
   // Re-initialize the first page around the surviving region structure
   // (same address: every raw Region* handle stays valid). The page is
-  // deliberately left dirty — per-object zeroing covers ZeroMemory
-  // semantics, and skipping the page memset newRegion would pay on a
-  // recycled page is most of reset's speedup.
+  // left dirty, as newRegion leaves a recycled first page: the end
+  // marker stops the scan and per-object zeroing covers ZeroMemory.
   char *Page = Base + std::size_t{R->InlineRuns[0].PageIdx} * kPageSize;
   auto Offset = static_cast<std::uint32_t>(
       (reinterpret_cast<char *>(R) - Page) +

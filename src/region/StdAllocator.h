@@ -25,7 +25,13 @@
 ///    runs container-element destructors; destroy the container first
 ///    if its elements own resources).
 ///  - Elements may not hold counted RegionPtr fields: container memory
-///    is pointer-free storage (the paper's rstralloc side).
+///    is pointer-free storage (the paper's rstralloc side), so no
+///    cleanup scan ever destroys them. A RegionPtr there is counted by
+///    the barrier but never released, and its target can never be
+///    deleted. A bare RegionPtr<U> element is rejected at compile time;
+///    a struct that holds one cannot be told apart from other
+///    non-trivially-destructible elements, so it is the caller's rule:
+///    allocate it with rnew, which scans it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +41,16 @@
 #include "region/Region.h"
 
 #include <cstddef>
+#include <type_traits>
 
 namespace regions {
+
+template <typename T> class RegionPtr;
+
+namespace detail {
+template <typename T> struct IsRegionPtr : std::false_type {};
+template <typename U> struct IsRegionPtr<RegionPtr<U>> : std::true_type {};
+} // namespace detail
 
 template <typename T> class RegionStdAllocator {
 public:
@@ -49,6 +63,9 @@ public:
 
   static_assert(alignof(T) <= kDefaultAlignment,
                 "regions serve 8-byte-aligned storage");
+  static_assert(!detail::IsRegionPtr<std::remove_cv_t<T>>::value,
+                "container storage is never scanned: a RegionPtr element's "
+                "count would leak; allocate counted pointers with rnew");
 
   explicit RegionStdAllocator(Region *R) : R(R) {}
 

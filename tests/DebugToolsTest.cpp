@@ -183,6 +183,27 @@ TEST_F(DebugToolsTest, AllocatorEqualityFollowsRegion) {
   EXPECT_EQ(Rebound.region(), R1);
 }
 
+static_assert(detail::IsRegionPtr<RegionPtr<Node>>::value,
+              "RegionStdAllocator<RegionPtr<Node>> must not compile");
+static_assert(!detail::IsRegionPtr<Node *>::value &&
+                  !detail::IsRegionPtr<Node>::value,
+              "plain pointers and structs stay allowed");
+
+TEST_F(DebugToolsTest, RegionPtrInPointerFreeStorageLeaksItsCount) {
+  // What RegionStdAllocator's RegionPtr check prevents: pointer-free
+  // storage is never scanned, so a RegionPtr placed there is counted by
+  // the barrier but never destroyed. Its target outlives the holder
+  // with a count nobody can release, and can never be deleted.
+  Region *Holder = Mgr.newRegion();
+  Region *Target = Mgr.newRegion();
+  void *Slot = Mgr.allocRaw(Holder, sizeof(RegionPtr<Node>));
+  ::new (Slot) RegionPtr<Node>(rnew<Node>(Target));
+  EXPECT_EQ(Target->referenceCount(), 1);
+  EXPECT_TRUE(Mgr.deleteRegionRaw(Holder));
+  EXPECT_EQ(Target->referenceCount(), 1) << "no cleanup released the count";
+  EXPECT_FALSE(Mgr.deleteRegionRaw(Target));
+}
+
 TEST_F(DebugToolsTest, NestedContainersOverOneRegion) {
   Region *R = Mgr.newRegion();
   using InnerVec = std::vector<int, RegionStdAllocator<int>>;

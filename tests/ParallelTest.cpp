@@ -419,6 +419,50 @@ TEST_F(ParallelTest, RetiredRecordsStayInTheirShard) {
       Mgr.deleteRegionRaw(C);
   Space.unregisterThread(Tid);
 }
+
+TEST_F(ParallelTest, ReusedRecordStartsWithEverySlotZero) {
+  // A record retires when its counts *sum* to zero, not when each slot
+  // is zero: here the last occupant ends at +1 on thread 0 and -1 on
+  // thread 1. share() clears only non-zero slots on reuse, so it must
+  // still find and clear both.
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  unsigned Tid0 = Space.registerThread();
+  unsigned Tid1 = Space.registerThread();
+  ASSERT_EQ(Tid0, 0u);
+  ASSERT_EQ(Tid1, 1u);
+  Region *R = Mgr.newRegion();
+  unsigned Home = ParallelSpace::shardOf(R);
+  SharedRegion *First = Space.share(R);
+  Space.addRef(First, Tid0);
+  Space.dropRef(First, Tid1);
+  ASSERT_EQ(First->localCount(Tid0), 1);
+  ASSERT_EQ(First->localCount(Tid1), -1);
+  ASSERT_TRUE(Space.tryDelete(First));
+
+  std::vector<Region *> Kept;
+  Region *Same = nullptr;
+  while (!Same) {
+    Region *C = Mgr.newRegion();
+    if (ParallelSpace::shardOf(C) == Home)
+      Same = C;
+    else
+      Kept.push_back(C);
+  }
+  SharedRegion *S = Space.share(Same);
+  ASSERT_EQ(S, First) << "the record must come back from the shard pool";
+  for (unsigned I = 0; I != kMaxThreads; ++I)
+    EXPECT_EQ(S->localCount(I), 0) << "slot " << I;
+  Space.addRef(S, Tid1);
+  EXPECT_EQ(S->totalCount(), 1);
+  EXPECT_EQ(S->localCount(Tid1), 1);
+  EXPECT_FALSE(Space.tryDelete(S));
+  Space.dropRef(S, Tid1);
+  EXPECT_TRUE(Space.tryDelete(S));
+  for (Region *C : Kept)
+    Mgr.deleteRegionRaw(C);
+  Space.unregisterThread(Tid1);
+  Space.unregisterThread(Tid0);
+}
 #endif
 
 TEST_F(ParallelTest, DoubleUnregisterDies) {

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -474,6 +476,77 @@ TEST_F(RegionTest, ScannedMemoryIsZeroedOnRecycledPages) {
         Mgr.allocScanned(R, 48, detail::scanThunk<Tracked>));
     for (int J = 0; J != 48; ++J)
       ASSERT_EQ(P[J], 0u) << "stale byte at offset " << J;
+  }
+}
+
+/// Counts calls: the stale words below all name it, so any call means
+/// the cleanup scan read past the end marker into recycled bytes.
+int StaleThunkCalls = 0;
+std::size_t staleThunk(void *) {
+  ++StaleThunkCalls;
+  return 0;
+}
+
+char *firstPageOf(const void *P) {
+  return reinterpret_cast<char *>(reinterpret_cast<std::uintptr_t>(P) &
+                                  ~std::uintptr_t{kPageSize - 1});
+}
+
+TEST_F(RegionTest, DirtyFirstPageKeepsScanAndZeroing) {
+  // newRegion leaves a recycled first page dirty. Fill one region's
+  // first page with words that parse as a live thunk, recycle it as the
+  // next region's first page, and check that objects there still read
+  // zero and that deletion runs exactly their thunks. With no object on
+  // the page, only newRegion's end marker stops the scan; a large
+  // Tracked array makes the scan run in that case too.
+  const auto Word = reinterpret_cast<std::uintptr_t>(&staleThunk);
+  constexpr int kArray = 200; // 4.8 KB: a large object in its own run
+  for (int Objects : {0, 20}) {
+    Region *Dirty = Mgr.newRegion();
+    char *Page = firstPageOf(Dirty);
+    // Fill the first page to the brim without spilling onto a second,
+    // so that page is the only one the next region can be given:
+    // 64-byte blobs while they fit, then 8-byte ones.
+    char *End = nullptr;
+    for (std::size_t Size : {std::size_t{64}, std::size_t{8}}) {
+      while (!End || End + sizeof(ScanThunk) + detail::kRsanObjOverhead +
+                             Size <= Page + kPageSize) {
+        // No finalizer and no out-reference: Dirty's own deletion skips
+        // the scan, so staleThunk never runs on its real objects.
+        auto *P = static_cast<std::uintptr_t *>(
+            Mgr.allocScanned(Dirty, Size, &staleThunk, /*MayFinalize=*/false));
+        ASSERT_EQ(firstPageOf(P), Page);
+        std::fill(P, P + Size / sizeof(Word), Word);
+        End = reinterpret_cast<char *>(P) + Size + detail::kRsanRedZone;
+      }
+    }
+    ASSERT_TRUE(Mgr.deleteRegionRaw(Dirty));
+
+    Region *R = Mgr.newRegion();
+    ASSERT_EQ(firstPageOf(R), Page) << "the first page must be recycled";
+    StaleThunkCalls = 0;
+    int Count = 0;
+    for (int I = 0; I != Objects; ++I) {
+      void *P =
+          Mgr.allocScanned(R, sizeof(Tracked), detail::scanThunk<Tracked>);
+      ASSERT_EQ(firstPageOf(P), Page) << "object " << I;
+      auto *Bytes = static_cast<unsigned char *>(P);
+      for (std::size_t J = 0; J != sizeof(Tracked); ++J)
+        ASSERT_EQ(Bytes[J], 0u) << "object " << I << ", byte " << J;
+      ::new (P) Tracked(&Count);
+    }
+    Tracked *Array = rnewArray<Tracked>(R, kArray);
+    ASSERT_NE(firstPageOf(Array), Page);
+    for (int I = 0; I != kArray; ++I)
+      Array[I].Counter = &Count;
+    std::uint64_t Before = Mgr.stats().CleanupThunksRun;
+    ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+    EXPECT_EQ(Count, Objects + kArray) << Objects << " objects";
+    EXPECT_EQ(Mgr.stats().CleanupThunksRun,
+              Before + static_cast<std::uint64_t>(Objects) + 1)
+        << Objects << " objects";
+    EXPECT_EQ(StaleThunkCalls, 0)
+        << Objects << " objects: the scan ran past the end marker";
   }
 }
 
