@@ -16,20 +16,13 @@ using namespace regions::par;
 
 ParallelSpace::~ParallelSpace() {
   for (Shard &Sh : Shards) {
-    std::lock_guard<std::mutex> Guard(Sh.Lock);
-    for (SharedRegion *S : Sh.Regions) {
-      // The region outlives its record here; drop the binding so no
-      // later (buggy) resolve walks into freed record storage.
+    while (SharedRegion *S = Sh.AllRecords) {
+      Sh.AllRecords = S->NextInShard;
+      // A live record's region outlives it; drop the binding so no
+      // later (buggy) resolve walks into freed record storage. Retired
+      // records have no region: tryDelete's deleteRegionRaw nulled R.
       if (S->R)
         S->R->clearSharedBinding();
-      delete S;
-    }
-    while (SharedRegion *S = Sh.FreePool) {
-      Sh.FreePool = S->NextFree;
-      delete S;
-    }
-    while (SharedRegion *S = Sh.Retired) {
-      Sh.Retired = S->NextFree;
       delete S;
     }
   }
@@ -78,28 +71,12 @@ unsigned ParallelSpace::registerThread() {
 }
 
 void ParallelSpace::unregisterThread(unsigned Tid) {
+  // The slot keeps its balances. Releasing RegLock here and taking it
+  // in registerThread orders this thread's last relaxed store to the
+  // slot before the next holder's first load.
+  std::lock_guard<std::mutex> Guard(RegLock);
   assert(Tid < NextThread.load(std::memory_order_relaxed) &&
          "unregistering a slot that was never issued");
-  // Bank this thread's balances so the sums are unchanged when the
-  // index is reissued to a thread starting from zero. One shard at a
-  // time: regions shared on other shards meanwhile have a zero count
-  // under this index (the exiting thread makes no more adjustments),
-  // so there is nothing to miss. Pooled regions are already deleted;
-  // their counts are dead.
-  for (Shard &Sh : Shards) {
-    std::lock_guard<std::mutex> Guard(Sh.Lock);
-    for (SharedRegion *S : Sh.Regions) {
-      if (Tid >= S->NumSlots)
-        continue; // already accumulating in Detached
-      std::int64_t Balance =
-          S->Local[Tid].Count.exchange(0, std::memory_order_relaxed);
-      if (Balance)
-        S->Detached.fetch_add(Balance, std::memory_order_relaxed);
-    }
-  }
-  // Only after the banking walk may the index be reissued: a new
-  // thread starting on this slot must never race the exchange above.
-  std::lock_guard<std::mutex> Guard(RegLock);
   assert(std::find(FreeTids.begin(), FreeTids.end(), Tid) ==
              FreeTids.end() &&
          "double unregisterThread: slot is already free, a reissued "
@@ -127,6 +104,8 @@ SharedRegion *ParallelSpace::share(Region *R) {
   } else {
     S = new SharedRegion();
     S->ShardIdx = ShardIdx;
+    S->NextInShard = Sh.AllRecords;
+    Sh.AllRecords = S;
   }
   if (S->NumSlots < Want) {
     delete[] S->Local;
@@ -155,9 +134,7 @@ SharedRegion *ParallelSpace::share(Region *R) {
   std::uint64_t Gen = S->Gen.fetch_add(1, std::memory_order_relaxed) + 1;
   assert(Gen % 2 == 1 && "bound records carry odd generations");
   R->bindShared(S, Gen);
-  S->Index = Sh.Regions.size();
-  Sh.Regions.push_back(S);
-  Sh.LiveCount.store(Sh.Regions.size(), std::memory_order_relaxed);
+  ++Sh.LiveCount;
   rstat::traceEvent(rstat::EventKind::ShareRegion, S->RegionId, ShardIdx);
   return S;
 }
@@ -245,19 +222,12 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   // fails its check instead of naming this record.
   S->Gen.fetch_add(1, std::memory_order_relaxed);
   S->Deleted.store(true, std::memory_order_release);
-  // Swap-pop out of the shard's live list and pool the record. Under
-  // RGN_HARDEN the record is parked on the retired list instead and
-  // never reused: a stale handle then always finds Deleted set (see
-  // rsanCheckLive) rather than the record's next occupant.
-  SharedRegion *Back = Sh.Regions.back();
-  Sh.Regions[S->Index] = Back;
-  Back->Index = S->Index;
-  Sh.Regions.pop_back();
-  Sh.LiveCount.store(Sh.Regions.size(), std::memory_order_relaxed);
-  if constexpr (detail::kRsanEnabled) {
-    S->NextFree = Sh.Retired;
-    Sh.Retired = S;
-  } else {
+  // Pool the record. Under RGN_HARDEN it is never reused (it stays on
+  // the shard's chain until the space dies): a stale handle then always
+  // finds Deleted set (see rsanCheckLive) rather than the record's next
+  // occupant.
+  --Sh.LiveCount;
+  if constexpr (!detail::kRsanEnabled) {
     S->NextFree = Sh.FreePool;
     Sh.FreePool = S;
   }

@@ -27,7 +27,7 @@
 /// The synchronization the paper confines to creation and deletion is
 /// *sharded*: every SharedRegion hashes (by the creating region's
 /// address) onto one of kNumShards cache-line-padded shards, each with
-/// its own lock, live-region table, and pooled-record free list.
+/// its own lock, live-record count, and pooled-record free list.
 /// share()/tryDelete() on regions in distinct shards never touch the
 /// same lock or lines, so a server workload cycling one region per
 /// request scales with threads instead of convoying on one mutex.
@@ -49,12 +49,13 @@
 /// Local-count storage is sized per SharedRegion when share() runs (at
 /// least kMinCountSlots, at most the slot high-water mark), instead of
 /// a fixed kMaxThreads-wide array; threads whose slot index exceeds a
-/// region's array fold into one shared Detached counter, which is also
-/// where unregisterThread() banks an exiting thread's balances so its
-/// slot index can be reissued — the banking walk locks one shard at a
-/// time instead of freezing the whole space. SharedRegion records are
-/// pooled per shard: tryDelete returns the record to its shard's free
-/// list and the shard's next share() reuses it.
+/// region's array fold into one shared Detached counter. A slot belongs
+/// to its index, not to one thread: unregisterThread() leaves the
+/// exiting thread's balances where they are, and the index's next
+/// holder adds to them. Deletion reads only sums, so nothing has to
+/// move. SharedRegion records are pooled per shard: tryDelete returns
+/// the record to its shard's free list and the shard's next share()
+/// reuses it.
 ///
 /// The shared-slot write is *self-resolving*: the paper requires the
 /// atomic exchange precisely so the process knows which reference was
@@ -129,9 +130,10 @@ public:
     return Sum;
   }
 
-  /// Thread \p Tid's own count, or the detached count when \p Tid is
-  /// beyond this record's array (diagnostics and tests; the sum above
-  /// is what deletion reads).
+  /// Slot \p Tid's count — the adjustments of every thread that has
+  /// held that index, not only its current holder — or the detached
+  /// count when \p Tid is beyond this record's array (diagnostics and
+  /// tests; the sum above is what deletion reads).
   std::int64_t localCount(unsigned Tid) const {
     return Tid < NumSlots ? Local[Tid].Count.load(std::memory_order_relaxed)
                           : Detached.load(std::memory_order_relaxed);
@@ -152,9 +154,10 @@ private:
   friend class ParallelSpace;
 
   struct alignas(64) PaddedCount {
-    // One writer per slot: thread Tid (see adjust()). share() clears
-    // it and unregisterThread() banks it while no thread adjusts it;
-    // other threads only read it, under the deletion protocol.
+    // One writer per slot: the thread holding index Tid (see adjust());
+    // RegLock hands the slot from one holder to the next. share()
+    // clears it while no thread adjusts it; other threads only read
+    // it, under the deletion protocol.
     std::atomic<std::int64_t> Count{0};
   };
 
@@ -169,11 +172,12 @@ private:
   /// that shard's lock, before the record is first published; records
   /// never change shard, so tryDelete finds its lock without reading R.
   unsigned ShardIdx = 0;
-  std::size_t Index = 0;  ///< position in the owning shard's live list
   SharedRegion *NextFree = nullptr; ///< free-list link while pooled
-  /// Catch-all count: threads whose slot index is outside Local, plus
-  /// the banked balances of unregistered threads. Contended in theory,
-  /// but only ever touched by late-joining threads beyond the array.
+  /// Chains every record one shard ever allocated, for the destructor.
+  SharedRegion *NextInShard = nullptr;
+  /// Catch-all count: threads whose slot index is outside Local.
+  /// Contended in theory, but only ever touched by late-joining threads
+  /// beyond the array.
   std::atomic<std::int64_t> Detached{0};
   /// Set once the region is gone; checked first (acquire) so stale
   /// tryDelete calls are cheap no-ops. Reset when the record is reused.
@@ -245,15 +249,14 @@ public:
   /// unique across shards); it is short and off every per-region path.
   unsigned registerThread();
 
-  /// Releases thread slot \p Tid: its balance in every live shared
-  /// region is folded into that region's detached count (the sums are
-  /// unchanged), and the index becomes reusable by a later
-  /// registerThread. The banking walk locks one shard at a time — the
-  /// space keeps serving share/tryDelete on other shards throughout.
-  /// The thread must make no further adjustments under this index;
-  /// releasing an index twice is a debug-checked error (it would let
-  /// two live threads share one slot). Prefer the ThreadSlot RAII
-  /// wrapper.
+  /// Releases thread slot \p Tid for reuse by a later registerThread.
+  /// Touches no shared record: the thread's balances stay in slot
+  /// \p Tid, where the index's next holder adds to them, so every sum
+  /// is unchanged. RegLock orders this thread's last adjustment before
+  /// the next holder's first. The thread must make no further
+  /// adjustments under this index; releasing an index twice is a
+  /// debug-checked error (it would let two live threads share one
+  /// slot). Prefer the ThreadSlot RAII wrapper.
   void unregisterThread(unsigned Tid);
 
   /// Wraps a region created by the calling thread's manager as shared.
@@ -325,13 +328,15 @@ public:
   /// Whether \p Mgr has been quiesced into this space (diagnostics).
   bool managerQuiesced(const RegionManager &Mgr) const;
 
-  /// Number of shared regions not yet deleted (diagnostics). Lock-free:
-  /// a relaxed sum of the per-shard size counters — exact whenever the
-  /// space is quiescent, a snapshot otherwise.
+  /// Number of shared regions not yet deleted (diagnostics). Takes each
+  /// shard's lock in turn, so it is exact whenever the space is
+  /// quiescent and a snapshot otherwise.
   std::size_t liveSharedRegions() const {
     std::size_t N = 0;
-    for (const Shard &Sh : Shards)
-      N += Sh.LiveCount.load(std::memory_order_relaxed);
+    for (const Shard &Sh : Shards) {
+      std::lock_guard<std::mutex> Guard(Sh.Lock);
+      N += Sh.LiveCount;
+    }
     return N;
   }
 
@@ -357,22 +362,14 @@ public:
   }
 
 private:
-  /// One synchronization domain: lock, live table, pooled records,
-  /// and the lock-free mirrors readers poll. Padded so neighbouring
-  /// shards' locks never false-share.
+  /// One synchronization domain: lock, live count, pooled records, and
+  /// the refusal counter readers poll. Padded so neighbouring shards'
+  /// locks never false-share.
   struct alignas(64) Shard {
-    std::mutex Lock;
-    std::vector<SharedRegion *> Regions; ///< live shared regions only
-    SharedRegion *FreePool = nullptr;    ///< deleted records for reuse
-    /// RGN_HARDEN only: retired records are parked here instead of
-    /// FreePool and never reused, so a stale SharedRegion* always
-    /// points at a record whose Deleted flag stays set — addRef /
-    /// dropRef / the resolve generation check then diagnose the stale
-    /// handle deterministically instead of silently operating on the
-    /// record's next occupant. Freed with the space.
-    SharedRegion *Retired = nullptr;
-    /// Regions.size(), mirrored relaxed for liveSharedRegions().
-    std::atomic<std::size_t> LiveCount{0};
+    mutable std::mutex Lock;
+    SharedRegion *FreePool = nullptr;   ///< deleted records for reuse
+    SharedRegion *AllRecords = nullptr; ///< every record, via NextInShard
+    std::size_t LiveCount = 0;          ///< records serving a region
     /// Lock-free tryDelete refusals served from this shard's regions.
     std::atomic<std::uint64_t> FastRefusals{0};
   };
@@ -442,8 +439,8 @@ private:
   std::atomic<unsigned> NextThread{0};
 };
 
-/// RAII thread registration: registers on construction, folds the
-/// thread's balances and releases its slot on destruction.
+/// RAII thread registration: registers on construction, releases the
+/// slot on destruction.
 class ThreadSlot {
 public:
   explicit ThreadSlot(ParallelSpace &S) : Space(S), Id(S.registerThread()) {}

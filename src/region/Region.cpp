@@ -239,8 +239,7 @@ void *RegionManager::allocRawSlow(Region *R, std::size_t Size, bool Zeroed) {
   char *Result = Base + detail::kRsanSizeHdr;
   if (Zeroed && !B.ZeroTail)
     std::memset(Result, 0, Payload);
-  ++R->NumAllocs;
-  R->ReqBytes += Size;
+  noteAlloc(R, Size);
   return Result;
 }
 
@@ -264,8 +263,7 @@ void *RegionManager::allocScannedSlow(Region *R, std::size_t Size,
     if (Cfg.ZeroMemory)
       std::memset(Result, 0, Payload);
   }
-  ++R->NumAllocs;
-  R->ReqBytes += Size;
+  noteAlloc(R, Size);
   return Result;
 }
 
@@ -321,29 +319,30 @@ void *RegionManager::allocLarge(Region *R, std::size_t Size, ScanThunk Thunk,
   if ((Zeroed || (Thunk && Cfg.ZeroMemory)) && !PagesZeroed)
     std::memset(Block + detail::kLargePayloadOff, 0, Aligned);
 
-  ++R->NumAllocs;
-  R->ReqBytes += Size;
+  noteAlloc(R, Size);
   return Block + detail::kLargePayloadOff;
+}
+
+/// Adds one region's own counters into \p S: stats() folds each live
+/// region, foldRetired each retiring incarnation.
+static void foldCounters(RegionStats &S, const Region *R) {
+  S.TotalAllocs += R->allocCount();
+  S.TotalRequestedBytes += R->requestedBytes();
+  S.BarrierStores += R->barrierStores();
+  S.BarrierSameRegion += R->barrierSameRegion();
+  S.BarrierAdjustments += R->barrierAdjustments();
+  S.MaxRegionBytes =
+      std::max<std::uint64_t>(S.MaxRegionBytes, R->requestedBytes());
 }
 
 RegionStats RegionManager::stats() const {
   RegionStats Agg = Stats;
-  std::uint64_t LiveBytes = 0;
-  for (const Region *R = LiveHead; R; R = R->NextLive) {
-    Agg.TotalAllocs += R->NumAllocs;
-    Agg.TotalRequestedBytes += R->ReqBytes;
-    Agg.BarrierStores += R->barrierStores();
-    Agg.BarrierSameRegion += R->barrierSameRegion();
-    Agg.BarrierAdjustments += R->barrierAdjustments();
-    LiveBytes += R->ReqBytes;
-    if (R->ReqBytes > Agg.MaxRegionBytes)
-      Agg.MaxRegionBytes = R->ReqBytes;
-  }
-  // The sampled peaks need no write-back: live bytes and a region's
-  // bytes only fall in foldRetired, which samples both first.
-  Agg.LiveRequestedBytes = LiveBytes;
-  if (LiveBytes > Agg.MaxLiveRequestedBytes)
-    Agg.MaxLiveRequestedBytes = LiveBytes;
+  for (const Region *R = LiveHead; R; R = R->NextLive)
+    foldCounters(Agg, R);
+  // No write-back needed: live bytes only fall in foldRetired, which
+  // samples the peak first.
+  Agg.MaxLiveRequestedBytes =
+      std::max(Agg.MaxLiveRequestedBytes, Agg.LiveRequestedBytes);
   return Agg;
 }
 
@@ -364,6 +363,15 @@ void RegionManager::runCleanups(Region *R) {
       Off += static_cast<std::uint32_t>(sizeof(ScanThunk) +
                                         detail::kRsanSizeHdr);
       std::size_t Used = Thunk(Page + Off);
+      // rsanValidate has already checked the size header. The walk
+      // advances by the thunk's answer, so a thunk that disagrees with
+      // the header would send it through payload and red-zone bytes.
+      if constexpr (detail::kRsanEnabled) {
+        if (Used != detail::rsanTaggedSize(*reinterpret_cast<std::size_t *>(
+                        Page + Off - detail::kRsanSizeHdr)))
+          reportFatalError("rsan: cleanup thunk returned a size other than "
+                           "its object's (the scan would lose its place)");
+      }
       ++ThunksRun;
       Off += static_cast<std::uint32_t>(alignTo(Used, kDefaultAlignment) +
                                         detail::kRsanRedZone);
@@ -382,22 +390,12 @@ void RegionManager::runCleanups(Region *R) {
 }
 
 void RegionManager::foldRetired(const Region *R) {
-  // Fold the retiring region's deferred per-allocation counters into
-  // the global view. Live bytes only ever decrease at retirement, so
-  // sampling the watermark just before the drop observes every peak
-  // exactly as eager per-allocation accounting would.
-  std::uint64_t LiveBytes = 0;
-  for (const Region *L = LiveHead; L; L = L->NextLive)
-    LiveBytes += L->ReqBytes;
-  if (LiveBytes > Stats.MaxLiveRequestedBytes)
-    Stats.MaxLiveRequestedBytes = LiveBytes;
-  Stats.TotalAllocs += R->NumAllocs;
-  Stats.TotalRequestedBytes += R->ReqBytes;
-  Stats.BarrierStores += R->barrierStores();
-  Stats.BarrierSameRegion += R->barrierSameRegion();
-  Stats.BarrierAdjustments += R->barrierAdjustments();
-  if (R->ReqBytes > Stats.MaxRegionBytes)
-    Stats.MaxRegionBytes = R->ReqBytes;
+  // Live bytes only ever fall here, so sampling the watermark just
+  // before the drop observes every peak exactly.
+  Stats.MaxLiveRequestedBytes =
+      std::max(Stats.MaxLiveRequestedBytes, Stats.LiveRequestedBytes);
+  Stats.LiveRequestedBytes -= R->ReqBytes;
+  foldCounters(Stats, R);
   // rstat histograms: the region's final size class, and its lifetime
   // on the region-creation logical clock (siblings created since its
   // birth; ≥1 because its own creation ticked the clock).

@@ -124,14 +124,14 @@ struct SafetyConfig {
 /// programmer-requested bytes (headers and page slack excluded); the
 /// OS-level number is RegionManager::osBytes().
 ///
-/// Per-allocation counters (TotalAllocs, TotalRequestedBytes, the live/
-/// max byte watermarks and MaxRegionBytes) are maintained *deferred*:
-/// the allocation fast path touches only region-local fields, and the
-/// global view is folded together when a region is deleted and on
-/// demand in RegionManager::stats(). The values stats() reports are
-/// identical to eager per-allocation accounting — live bytes only ever
-/// drop at region deletion, so sampling the watermarks there and at
-/// stats() time observes every peak.
+/// LiveRequestedBytes is exact at every moment: each allocation adds to
+/// it and each retirement (delete or reset) subtracts the region's
+/// bytes. The other per-allocation counters (TotalAllocs,
+/// TotalRequestedBytes, MaxRegionBytes, the barrier counts) are kept on
+/// each region and folded in when it retires and on demand in
+/// RegionManager::stats(). Live bytes only fall at retirement, so
+/// sampling MaxLiveRequestedBytes there and at stats() time observes
+/// every peak.
 struct RegionStats {
   std::uint64_t TotalAllocs = 0;
   std::uint64_t TotalRequestedBytes = 0;
@@ -649,9 +649,8 @@ public:
 
   const SafetyConfig &config() const { return Cfg; }
 
-  /// Returns the aggregated statistics by value. Per-allocation
-  /// counters are kept region-local by the fast path and folded in here
-  /// (and at region retirement).
+  /// Returns the aggregated statistics by value. Live regions' own
+  /// counters are folded in here, as they are at retirement.
   RegionStats stats() const;
 
   /// Write access to the rpool counters for RegionPool; readers use
@@ -737,14 +736,21 @@ private:
   /// Unlinks R from the live list and frees its runs; returns the pages.
   std::size_t freeRegionMemory(Region *R);
   void setMapRange(const void *Page, std::size_t NumPages, Region *R);
+  /// Counts one allocation of \p Size requested bytes, on the region
+  /// and in the manager's live total.
+  void noteAlloc(Region *R, std::size_t Size) {
+    ++R->NumAllocs;
+    R->ReqBytes += Size;
+    Stats.LiveRequestedBytes += Size;
+  }
 
   detail::ArenaSlot Slot; ///< declared first: outlives Source (PageMap.h)
   PageSource Source;      ///< carves inside Slot
   Region **Map;           ///< Slot's page map slice: page index -> region
   SafetyConfig Cfg;
-  /// Folded counters: region-lifecycle and barrier stats are eager;
-  /// per-allocation stats cover *deleted* regions only (live regions'
-  /// shares are summed on demand).
+  /// Region-lifecycle counters and LiveRequestedBytes are eager; the
+  /// per-region counters cover retired incarnations only (live
+  /// regions' shares are summed on demand).
   RegionStats Stats;
   PoolStats PoolCounters; ///< rpool activity (region/Pool.h)
   Region *LiveHead = nullptr;
@@ -778,8 +784,7 @@ RGN_ALWAYS_INLINE void *RegionManager::allocRaw(Region *R, std::size_t Size) {
                  B.Offset + Need <= kPageSize)) {
     char *Base = B.Head + B.Offset;
     B.Offset += static_cast<std::uint32_t>(Need);
-    ++R->NumAllocs;
-    R->ReqBytes += Size;
+    noteAlloc(R, Size);
     if constexpr (detail::kRsanEnabled) {
       RGN_ASAN_UNPOISON(Base, Need);
       detail::rsanStampObject(Base, Size, Payload);
@@ -809,8 +814,7 @@ RGN_ALWAYS_INLINE void *RegionManager::allocRawZeroed(Region *R, std::size_t Siz
     char *Result = Base + detail::kRsanSizeHdr;
     if (!B.ZeroTail)
       std::memset(Result, 0, Payload);
-    ++R->NumAllocs;
-    R->ReqBytes += Size;
+    noteAlloc(R, Size);
     return Result;
   }
   return allocRawSlow(R, Size, /*Zeroed=*/true);
@@ -838,8 +842,7 @@ RGN_ALWAYS_INLINE void *RegionManager::allocScanned(Region *R, std::size_t Size,
       if (Cfg.ZeroMemory)
         std::memset(Result, 0, Payload);
     }
-    ++R->NumAllocs;
-    R->ReqBytes += Size;
+    noteAlloc(R, Size);
     return Result;
   }
   return allocScannedSlow(R, Size, Thunk);

@@ -511,9 +511,9 @@ TEST(ParallelBufferedCountingTest, TryDeleteFlushesPendingCounts) {
 }
 
 TEST(ParallelBufferedCountingTest, UnregisterThreadBanksBalances) {
-  // An exiting thread's local-count balances fold into the region's
-  // detached count: sums (and so deletability) are unchanged, and the
-  // freed slot index is reissued.
+  // An exiting thread's local-count balances stay in its slot: sums
+  // (and so deletability) are unchanged, and the freed slot index is
+  // reissued to a thread that adds to them.
   RegionManager Mgr{SafetyConfig::unsafeConfig()};
   par::ParallelSpace Space;
   par::SharedRegion *S = Space.share(Mgr.newRegion());
@@ -521,7 +521,7 @@ TEST(ParallelBufferedCountingTest, UnregisterThreadBanksBalances) {
   unsigned TidA = Space.registerThread();
   Space.addRef(S, TidA);
   Space.unregisterThread(TidA);
-  EXPECT_EQ(S->totalCount(), 1) << "banked balance survives the exit";
+  EXPECT_EQ(S->totalCount(), 1) << "the balance survives the exit";
 
   unsigned TidB = Space.registerThread();
   EXPECT_EQ(TidB, TidA) << "slot index is recycled";

@@ -382,6 +382,51 @@ TEST_F(ParallelTest, ManyRegionsAcrossShardsDeleteInAnyOrder) {
   EXPECT_EQ(Space.liveSharedRegions(), 0u);
 }
 
+/// One thread takes +1 on \p S and unregisters; the thread its index is
+/// reissued to drops it. unregisterThread touches no record, so the
+/// balance waits with the index, and only the sum decides deletion.
+/// Returns the index.
+unsigned handOverOneReference(ParallelSpace &Space, SharedRegion *S) {
+  unsigned First = 0;
+  std::thread([&] {
+    First = Space.registerThread();
+    Space.addRef(S, First);
+    Space.unregisterThread(First);
+  }).join();
+  EXPECT_EQ(S->localCount(First), 1) << "the balance stays with the index";
+  EXPECT_EQ(S->totalCount(), 1);
+  unsigned Second = 0;
+  std::thread([&] {
+    Second = Space.registerThread();
+    Space.dropRef(S, Second);
+  }).join();
+  EXPECT_EQ(Second, First) << "the index is reissued";
+  EXPECT_EQ(S->localCount(Second), 0);
+  EXPECT_EQ(S->totalCount(), 0);
+  EXPECT_TRUE(Space.tryDelete(S));
+  Space.unregisterThread(Second);
+  return Second;
+}
+
+TEST_F(ParallelTest, UnregisteredBalanceStaysInItsSlot) {
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  EXPECT_LT(handOverOneReference(Space, Space.share(Mgr.newRegion())),
+            kMinCountSlots);
+}
+
+TEST_F(ParallelTest, UnregisteredBalanceBeyondTheArrayStaysDetached) {
+  // The same hand-over for an index past the record's count array:
+  // both holders adjust the shared Detached counter.
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  SharedRegion *S = Space.share(Mgr.newRegion()); // kMinCountSlots slots
+  std::vector<unsigned> Inside;
+  for (unsigned I = 0; I != kMinCountSlots; ++I)
+    Inside.push_back(Space.registerThread());
+  EXPECT_GE(handOverOneReference(Space, S), kMinCountSlots);
+  for (unsigned Tid : Inside)
+    Space.unregisterThread(Tid);
+}
+
 #if !RGN_HARDEN_ENABLED
 TEST_F(ParallelTest, RetiredRecordsStayInTheirShard) {
   // A retired record is pooled in the shard that allocated it and only

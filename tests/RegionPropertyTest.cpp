@@ -12,6 +12,8 @@
 
 #include "region/Debug.h"
 #include "region/Metrics.h"
+#include "region/Parallel.h"
+#include "region/Pool.h"
 #include "region/Regions.h"
 #include "support/Prng.h"
 
@@ -20,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 using namespace regions;
@@ -414,6 +417,129 @@ TEST_P(RegionPropertyTest, ResetMatchesDeletePlusNewObservably) {
   // end markers one last time (the cleanup scan traverses them all).
   EXPECT_TRUE(MgrA.deleteRegionRaw(A));
   EXPECT_TRUE(MgrB.deleteRegionRaw(B));
+}
+
+TEST_P(RegionPropertyTest, LiveBytesMatchTheOracle) {
+  // The manager keeps live requested bytes as one running total and
+  // samples Table 2's "max live" watermark from it at retirement. An
+  // oracle that knows every in-use region's bytes checks both after
+  // each operation: direct and pooled creation, every allocation path,
+  // delete, reset, pool release (which may trim), a full trim, and a
+  // quiesced manager's shared region retired from another thread.
+  // Pooled regions hold no bytes, so the oracle leaves them out.
+  RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{256} << 20};
+  Prng Rng(GetParam() * 7919 + 3);
+  std::map<Region *, std::uint64_t> Live; ///< in-use region -> bytes
+  std::uint64_t MaxLive = 0;
+  auto Check = [&](const char *Op) {
+    std::uint64_t Sum = 0;
+    for (const auto &[R, Bytes] : Live) {
+      ASSERT_EQ(R->requestedBytes(), Bytes) << "after " << Op;
+      Sum += Bytes;
+    }
+    MaxLive = std::max(MaxLive, Sum);
+    RegionStats S = Mgr.stats();
+    ASSERT_EQ(S.LiveRequestedBytes, Sum) << "after " << Op;
+    ASSERT_EQ(S.MaxLiveRequestedBytes, MaxLive) << "after " << Op;
+  };
+  auto Pick = [&] {
+    auto It = Live.begin();
+    std::advance(It, Rng.nextBelow(Live.size()));
+    return It->first;
+  };
+
+  {
+    // Small budgets: releases trim the oldest cached region, and a
+    // region that outgrows the page budget is deleted, not parked.
+    RegionPool Pool(Mgr, {/*MaxRegions=*/3, /*MaxRetainedPages=*/24});
+    for (int Step = 0; Step != 600; ++Step) {
+      const char *Op = "newRegion";
+      switch (Live.empty() ? 0 : Rng.nextBelow(10)) {
+      case 0:
+        Live[Mgr.newRegion()] = 0;
+        break;
+      case 1:
+        Op = "acquire";
+        Live[Pool.acquire()] = 0;
+        break;
+      case 2:
+      case 3:
+      case 4: {
+        Op = "alloc";
+        Region *R = Pick();
+        std::size_t Size = 1 + Rng.nextBelow(std::size_t{96}
+                                             << Rng.nextBelow(8));
+        switch (Rng.nextBelow(4)) {
+        case 0:
+          Mgr.allocRaw(R, Size);
+          break;
+        case 1:
+          Mgr.allocRawZeroed(R, Size);
+          break;
+        case 2:
+          rnew<Node>(R);
+          Size = sizeof(Node);
+          break;
+        default:
+          rnewArray<Node>(R, Size % 300);
+          Size = sizeof(std::size_t) + Size % 300 * sizeof(Node);
+          break;
+        }
+        Live[R] += Size;
+        break;
+      }
+      case 5: {
+        Op = "delete";
+        Region *R = Pick();
+        Live.erase(R);
+        ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+        break;
+      }
+      case 6: {
+        Op = "reset";
+        Region *R = Pick();
+        Live[R] = 0;
+        ASSERT_TRUE(Mgr.resetRegion(R));
+        break;
+      }
+      case 7:
+      case 8: {
+        Op = "release";
+        Region *R = Pick();
+        Live.erase(R);
+        ASSERT_TRUE(Pool.release(R));
+        break;
+      }
+      default:
+        Op = "trimAll";
+        Pool.trimAll();
+        break;
+      }
+      ASSERT_NO_FATAL_FAILURE(Check(Op));
+    }
+    EXPECT_GT(Mgr.metrics().Pool.Trims, 0u) << "no release ever trimmed";
+  }
+
+  Region *Shared = Mgr.newRegion();
+  Mgr.allocRaw(Shared, 100);
+  Live[Shared] = 100;
+  ASSERT_NO_FATAL_FAILURE(Check("alloc"));
+  {
+    par::ParallelSpace Space;
+    par::SharedRegion *S = Space.share(Shared);
+    Space.quiesce(Mgr);
+    bool Deleted = false;
+    std::thread([&] { Deleted = Space.tryDelete(S); }).join();
+    ASSERT_TRUE(Deleted);
+  }
+  Live.erase(Shared);
+  ASSERT_NO_FATAL_FAILURE(Check("tryDelete from another thread"));
+  while (!Live.empty()) {
+    Region *R = Live.begin()->first;
+    Live.erase(R);
+    ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+    ASSERT_NO_FATAL_FAILURE(Check("delete"));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionPropertyTest,

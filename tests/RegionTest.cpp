@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "region/Regions.h"
+#include "support/Stopwatch.h"
 
 #include <gtest/gtest.h>
 
@@ -376,6 +377,53 @@ TEST_F(RegionTest, StatsTrackMaxRegionBytes) {
   rnewArray<char>(A, 100);
   rnewArray<char>(B, 5000);
   EXPECT_EQ(Mgr.stats().MaxRegionBytes, 5000u);
+}
+
+/// Best of five samples of the nanoseconds \p Retire takes over a batch
+/// of fresh regions that each hold one 64-byte allocation. Regions the
+/// retirement leaves live (a reset) are deleted after each sample.
+template <class RetireFn>
+std::uint64_t bestRetireNanos(RegionManager &Mgr, RetireFn Retire) {
+  constexpr int kBatch = 64;
+  std::uint64_t Best = UINT64_MAX;
+  for (int Sample = 0; Sample != 5; ++Sample) {
+    Region *Batch[kBatch];
+    for (Region *&R : Batch) {
+      R = Mgr.newRegion();
+      Mgr.allocRaw(R, 64);
+    }
+    std::uint64_t Start = monotonicNanos();
+    for (Region *&R : Batch)
+      Retire(R);
+    Best = std::min(Best, monotonicNanos() - Start);
+    for (Region *&R : Batch)
+      if (R)
+        EXPECT_TRUE(Mgr.deleteRegionRaw(R));
+  }
+  return Best;
+}
+
+TEST_F(RegionTest, RetireCostIgnoresOtherLiveRegions) {
+  // §4.3: memory management costs amortized O(1). Deleting or resetting
+  // a region must not walk the other live regions, here 10 000 of them
+  // (a walk made each retirement thousands of times slower).
+  auto Delete = [&](Region *&R) { EXPECT_TRUE(Mgr.deleteRegionRaw(R)); };
+  auto Reset = [&](Region *&R) { EXPECT_TRUE(Mgr.resetRegion(R)); };
+  std::uint64_t DeleteAlone = bestRetireNanos(Mgr, Delete);
+  std::uint64_t ResetAlone = bestRetireNanos(Mgr, Reset);
+  std::vector<Region *> Others(10000);
+  for (Region *&R : Others)
+    R = Mgr.newRegion();
+  std::uint64_t DeleteCrowded = bestRetireNanos(Mgr, Delete);
+  std::uint64_t ResetCrowded = bestRetireNanos(Mgr, Reset);
+  EXPECT_LE(DeleteCrowded, 8 * DeleteAlone)
+      << "delete: " << DeleteAlone << " ns alone, " << DeleteCrowded
+      << " ns with 10 000 live";
+  EXPECT_LE(ResetCrowded, 8 * ResetAlone)
+      << "reset: " << ResetAlone << " ns alone, " << ResetCrowded
+      << " ns with 10 000 live";
+  for (Region *&R : Others)
+    ASSERT_TRUE(Mgr.deleteRegionRaw(R));
 }
 
 //===----------------------------------------------------------------------===//

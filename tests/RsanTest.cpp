@@ -350,6 +350,17 @@ TEST(RsanDeathTest, DoubleDeleteRegionFatal) {
   EXPECT_DEATH(Mgr.deleteRegionRaw(Saved), "not live");
 }
 
+TEST(RsanDeathTest, UnderReportingCleanupThunkFatalAtDelete) {
+  // The cleanup scan advances by the size each thunk returns. One that
+  // under-reports would send the scan into its object's payload, read
+  // here as thunk words; the checked size header catches it first.
+  RegionManager Mgr(SafetyConfig::safeConfig(), std::size_t{64} << 20);
+  Region *R = Mgr.newRegion();
+  ScanThunk Thunk = [](void *) -> std::size_t { return 0; };
+  std::memset(Mgr.allocScanned(R, 64, Thunk), 0x5A, 64);
+  EXPECT_DEATH(Mgr.deleteRegionRaw(R), "rsan: cleanup thunk returned");
+}
+
 TEST(RsanDeathTest, SameRegionPtrEscapeFatal) {
   RegionManager Mgr(SafetyConfig::unsafeConfig(), std::size_t{64} << 20);
   Region *A = Mgr.newRegion();

@@ -276,11 +276,11 @@ TEST(ThreadStressTest, ConcurrentTryDeleteRacesDeletingFlag) {
 }
 
 TEST(ThreadStressTest, ThreadSlotChurnAcrossShardsKeepsSumsExact) {
-  // Register/unregister churn (whose banking walk now locks one shard
-  // at a time) racing against ref traffic on regions spread over many
-  // shards. After the joins every region's sum must be exactly zero —
-  // banking must not lose or double-count a balance whichever shard
-  // the region landed on.
+  // Register/unregister churn racing against ref traffic on regions
+  // spread over many shards. A reissued index inherits its slot's
+  // balances, so after the joins every region's sum must be exactly
+  // zero: no hand-over may lose or double-count a balance, whichever
+  // shard the region landed on.
   par::ParallelSpace Space;
   RegionManager Mgr{SafetyConfig::unsafeConfig(), std::size_t{64} << 20};
   constexpr int kRegions = 16;
@@ -294,7 +294,7 @@ TEST(ThreadStressTest, ThreadSlotChurnAcrossShardsKeepsSumsExact) {
   for (int T = 0; T != kThreads; ++T)
     Threads.emplace_back([&, T] {
       for (int I = 0; I != kRounds; ++I) {
-        par::ThreadSlot Slot(Space); // unregister banks across shards
+        par::ThreadSlot Slot(Space); // the next holder inherits the slot
         par::SharedRegion *S = Shared[(T + I) % kRegions];
         Space.addRef(S, Slot);
         Space.addRef(S, Slot);
@@ -408,7 +408,7 @@ TEST(ThreadStressTest, QuiescedManagersRetiredByRacingWorkers) {
           Shared[O * kRegionsPer + R] = S;
         }
         Space.quiesce(*Managers[O]);
-        Space.unregisterThread(Tid); // pins bank into Detached
+        Space.unregisterThread(Tid); // pins stay in the owner's slot
       });
     for (std::thread &T : Owners)
       T.join();
