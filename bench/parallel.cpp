@@ -129,8 +129,8 @@ BENCHMARK(BM_SharedExchangeContended)
     ->Threads(8);
 
 /// Thread slot churn: registerThread/unregisterThread pairs, which
-/// take the space lock and fold balances into every live shared
-/// region. Worker-pool workloads pay this on every thread lifecycle.
+/// take the space's registration lock and touch no shared record.
+/// Worker-pool workloads pay this on every thread lifecycle.
 void BM_ThreadRegistration(benchmark::State &State) {
   constexpr int kRegBatch = 64;
   if (State.thread_index() == 0)
@@ -147,32 +147,61 @@ void BM_ThreadRegistration(benchmark::State &State) {
 }
 BENCHMARK(BM_ThreadRegistration)->Threads(1)->Threads(2)->Threads(4);
 
-/// Failed deletion attempts under contention: tryDelete synchronizes
-/// and sums every local count before giving up (a detached reference
-/// keeps the sum at one). This is the cost of *checking* the paper's
-/// deletion condition.
-void BM_TryDeleteContended(benchmark::State &State) {
-  constexpr int kTryBatch = 64;
-  if (State.thread_index() == 0) {
-    setUpShared(State);
-    // Pin the region alive through the detached count: register a
-    // slot, take a reference, and fold it by unregistering.
+/// Pins GState.S alive for the tryDelete benchmarks: registers a slot,
+/// takes a reference, and releases the slot. The balance stays in that
+/// slot (its index's next holder adds to it), so every tryDelete sees a
+/// sum of one and refuses lock-free.
+void pinShared(benchmark::State &State) {
+  setUpShared(State);
+  ThreadSlot Tid(GState.Space);
+  GState.Space.addRef(GState.S, Tid);
+}
+
+void unpinShared(benchmark::State &State) {
+  {
     ThreadSlot Tid(GState.Space);
-    GState.Space.addRef(GState.S, Tid);
+    GState.Space.dropRef(GState.S, Tid);
   }
+  tearDownShared(State);
+}
+
+void refuseBatch(benchmark::State &State) {
+  constexpr int kTryBatch = 64;
   for (auto _ : State) {
     SharedRegion *S = GState.S;
     for (int I = 0; I != kTryBatch; ++I)
       benchmark::DoNotOptimize(GState.Space.tryDelete(S));
   }
   State.SetItemsProcessed(State.iterations() * kTryBatch);
-  if (State.thread_index() == 0) {
-    ThreadSlot Tid(GState.Space);
-    GState.Space.dropRef(GState.S, Tid);
-    tearDownShared(State);
-  }
+}
+
+/// Failed deletion attempts under contention, from threads that hold no
+/// thread slot: each refusal sums every local count (the pin keeps the
+/// sum at one) and ticks the space's shared fallback refusal tally.
+/// This is the cost of *checking* the paper's deletion condition.
+void BM_TryDeleteContended(benchmark::State &State) {
+  if (State.thread_index() == 0)
+    pinShared(State);
+  refuseBatch(State);
+  if (State.thread_index() == 0)
+    unpinShared(State);
 }
 BENCHMARK(BM_TryDeleteContended)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
+
+/// The same refusals from threads that each hold a ThreadSlot, as the
+/// pipeline's producer and consumer do: each refusal ticks only the
+/// caller's own per-index tally, so the rows should scale with threads.
+void BM_TryDeleteRefusedRegistered(benchmark::State &State) {
+  if (State.thread_index() == 0)
+    pinShared(State);
+  {
+    ThreadSlot Tid(GState.Space);
+    refuseBatch(State);
+  }
+  if (State.thread_index() == 0)
+    unpinShared(State);
+}
+BENCHMARK(BM_TryDeleteRefusedRegistered)->Threads(1)->Threads(2)->Threads(4);
 
 /// The synchronized slow path the paper confines to region lifetime:
 /// create a region, publish it as shared, delete it again.

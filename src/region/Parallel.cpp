@@ -14,7 +14,21 @@
 using namespace regions;
 using namespace regions::par;
 
+namespace {
+
+/// The space and index of the calling thread's latest registration:
+/// whose refusal tally its lock-free tryDelete refusals go to. Cleared
+/// by the matching unregisterThread (or that space's destruction on
+/// this thread), so a later space at the same address, or the index's
+/// next holder, never finds a stale writer here.
+thread_local RGN_CONSTINIT const ParallelSpace *GTallySpace = nullptr;
+thread_local RGN_CONSTINIT unsigned GTallyTid = 0;
+
+} // namespace
+
 ParallelSpace::~ParallelSpace() {
+  if (GTallySpace == this)
+    GTallySpace = nullptr;
   for (Shard &Sh : Shards) {
     while (SharedRegion *S = Sh.AllRecords) {
       Sh.AllRecords = S->NextInShard;
@@ -55,25 +69,33 @@ unsigned ParallelSpace::registerThread() {
   // through here. No-op (one relaxed load) when tracing is disarmed.
   rstat::attachThread();
   std::lock_guard<std::mutex> Guard(RegLock);
+  unsigned Tid;
   if (!FreeTids.empty()) {
-    unsigned Tid = FreeTids.back();
+    Tid = FreeTids.back();
     FreeTids.pop_back();
-    return Tid;
+  } else {
+    Tid = NextThread.load(std::memory_order_relaxed);
+    if (Tid == kMaxThreads)
+      reportFatalError("ParallelSpace: too many threads registered");
+    // Relaxed is enough: a share() that misses this publication sizes
+    // its array short and the new thread folds into Detached — counted
+    // correctly either way.
+    NextThread.store(Tid + 1, std::memory_order_relaxed);
   }
-  unsigned Next = NextThread.load(std::memory_order_relaxed);
-  if (Next == kMaxThreads)
-    reportFatalError("ParallelSpace: too many threads registered");
-  // Relaxed is enough: a share() that misses this publication sizes
-  // its array short and the new thread folds into Detached — counted
-  // correctly either way.
-  NextThread.store(Next + 1, std::memory_order_relaxed);
-  return Next;
+  // Taking RegLock ordered the index's previous holder's last tally
+  // store before this thread's first load, as for the count slots.
+  GTallySpace = this;
+  GTallyTid = Tid;
+  return Tid;
 }
 
 void ParallelSpace::unregisterThread(unsigned Tid) {
   // The slot keeps its balances. Releasing RegLock here and taking it
   // in registerThread orders this thread's last relaxed store to the
-  // slot before the next holder's first load.
+  // slot before the next holder's first load; the same goes for the
+  // index's refusal tally, which this thread stops writing here.
+  if (GTallySpace == this && GTallyTid == Tid)
+    GTallySpace = nullptr;
   std::lock_guard<std::mutex> Guard(RegLock);
   assert(Tid < NextThread.load(std::memory_order_relaxed) &&
          "unregistering a slot that was never issued");
@@ -129,9 +151,11 @@ SharedRegion *ParallelSpace::share(Region *R) {
   // generation moves odd (bound); a resolver that reads this binding
   // together with this stamp knows the record still serves R. The
   // release store in bindShared orders the whole record setup above
-  // before the binding becomes visible.
+  // before the binding becomes visible. Gen only changes under this
+  // shard lock, so a plain load and store bump it.
   assert(!R->sharedBinding() && "share: region is already shared");
-  std::uint64_t Gen = S->Gen.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::uint64_t Gen = S->Gen.load(std::memory_order_relaxed) + 1;
+  S->Gen.store(Gen, std::memory_order_relaxed);
   assert(Gen % 2 == 1 && "bound records carry odd generations");
   R->bindShared(S, Gen);
   ++Sh.LiveCount;
@@ -142,9 +166,6 @@ SharedRegion *ParallelSpace::share(Region *R) {
 bool ParallelSpace::tryDelete(SharedRegion *S) {
   if (S->Deleted.load(std::memory_order_acquire))
     return false;
-  // The record's shard, not R's: ShardIdx is fixed at allocation,
-  // while a racing winner nulls S->R through deleteRegionRaw.
-  Shard &Sh = Shards[S->ShardIdx];
   // Optimistic refusal: a visibly non-zero relaxed sum means this call
   // could only refuse, so refuse without a lock. Polling threads
   // ("is the request region dead yet?") pay reads only and never
@@ -152,26 +173,26 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   // caller's own contribution (its slot holds its own writes);
   // cross-thread counts in flight can at worst turn an
   // accept into a refuse, which the contract allows at any time.
-  if (S->totalCount() != 0) {
-    Sh.FastRefusals.fetch_add(1, std::memory_order_relaxed);
-    rstat::traceEvent(rstat::EventKind::TryDeleteRefused, S->RegionId,
-                      /*LockFree=*/1);
-    return false;
-  }
-  // The sum looks zero: arbitrate. Exactly one concurrent deleter wins
-  // the flag and runs the authoritative locked recheck; losers refuse
-  // lock-free instead of stampeding the shard lock. A successful
-  // delete keeps the flag set (the record is pooled with it), so stale
-  // retries keep failing here or at the Deleted check above.
+  //
+  // A sum that looks zero arbitrates instead. Exactly one concurrent
+  // deleter wins the Deleting flag and runs the authoritative locked
+  // recheck; losers refuse lock-free instead of stampeding the shard
+  // lock. A successful delete keeps the flag set (the record is pooled
+  // with it), so stale retries keep failing here or at the Deleted
+  // check above.
   bool Expected = false;
-  if (!S->Deleting.compare_exchange_strong(Expected, true,
+  if (S->totalCount() != 0 ||
+      !S->Deleting.compare_exchange_strong(Expected, true,
                                            std::memory_order_acquire,
                                            std::memory_order_relaxed)) {
-    Sh.FastRefusals.fetch_add(1, std::memory_order_relaxed);
+    countLockFreeRefusal();
     rstat::traceEvent(rstat::EventKind::TryDeleteRefused, S->RegionId,
                       /*LockFree=*/1);
     return false;
   }
+  // The record's shard, not R's: ShardIdx is fixed at allocation,
+  // while a racing winner nulls S->R through deleteRegionRaw.
+  Shard &Sh = Shards[S->ShardIdx];
   std::lock_guard<std::mutex> Guard(Sh.Lock);
   // Authoritative recheck under the shard lock, same condition the
   // single-mutex design enforced: the summed local counts must agree,
@@ -219,8 +240,10 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   }
   // Retire the record: the generation moves even, so any (record,
   // generation) pair a racing resolver tore off a stale region binding
-  // fails its check instead of naming this record.
-  S->Gen.fetch_add(1, std::memory_order_relaxed);
+  // fails its check instead of naming this record. Still under the
+  // shard lock, so a plain load and store bump it.
+  S->Gen.store(S->Gen.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
   S->Deleted.store(true, std::memory_order_release);
   // Pool the record. Under RGN_HARDEN it is never reused (it stays on
   // the shard's chain until the space dies): a stale handle then always
@@ -234,6 +257,17 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   rstat::traceEvent(rstat::EventKind::TryDeleteOk, S->RegionId,
                     static_cast<std::uint32_t>(&Sh - Shards));
   return true;
+}
+
+void ParallelSpace::countLockFreeRefusal() {
+  if (RGN_LIKELY(GTallySpace == this)) {
+    // This thread holds index GTallyTid here and is its tally's only
+    // writer, so no increment can fall between the load and the store.
+    std::atomic<std::uint64_t> &N = Refusals[GTallyTid].N;
+    N.store(N.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  } else {
+    FallbackRefusals.N.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void ParallelSpace::quiesce(RegionManager &Mgr) {

@@ -38,13 +38,15 @@
 ///
 /// tryDelete() is optimistic: it takes a lock-free relaxed sum first,
 /// and refuses without any lock when the sum is visibly non-zero —
-/// polling "is it dead yet" costs reads only. Concurrent deleters of the same region
-/// are arbitrated by a per-record Deleting CAS flag, so losers refuse
-/// lock-free instead of stampeding the shard lock; only a zero-looking
-/// sum takes the shard lock for the authoritative recheck, where the
-/// owning manager still has the last word. The accept/refuse semantics
-/// are unchanged: refusing is always conservative-safe, and a zero sum
-/// is rechecked under the lock before anything is freed.
+/// polling "is it dead yet" costs reads plus one plain store to the
+/// caller's own refusal tally, no locked instruction. Concurrent
+/// deleters of the same region are arbitrated by a per-record Deleting
+/// CAS flag, so losers refuse lock-free instead of stampeding the shard
+/// lock; only a zero-looking sum takes the shard lock for the
+/// authoritative recheck, where the owning manager still has the last
+/// word. The accept/refuse semantics are unchanged: refusing is always
+/// conservative-safe, and a zero sum is rechecked under the lock before
+/// anything is freed.
 ///
 /// Local-count storage is sized per SharedRegion when share() runs (at
 /// least kMinCountSlots, at most the slot high-water mark), instead of
@@ -187,7 +189,9 @@ private:
   /// the shard lock. Left set by a successful delete (the record is
   /// pooled with it) and cleared on refusal or reuse.
   std::atomic<bool> Deleting{false};
-  /// Occupancy stamp; see generation().
+  /// Occupancy stamp; see generation(). Written only under the shard
+  /// lock (share(), tryDelete's retire step), so a plain load and store
+  /// bump it; resolvers read it lock-free, hence the atomic.
   std::atomic<std::uint64_t> Gen{0};
 };
 
@@ -247,6 +251,10 @@ public:
   /// reusing indices released by unregisterThread. Registration is the
   /// one remaining global critical section (slot issuance must be
   /// unique across shards); it is short and off every per-region path.
+  /// The calling thread also becomes the writer of that index's refusal
+  /// tally (its latest registration, in whichever space, is the one it
+  /// tallies under), so register and release an index on the thread
+  /// that uses it, as ThreadSlot does.
   unsigned registerThread();
 
   /// Releases thread slot \p Tid for reuse by a later registerThread.
@@ -342,11 +350,14 @@ public:
 
   /// tryDelete refusals that never touched a shard lock (the visibly
   /// non-zero sum and lost-CAS paths). Diagnostics/tests: proves the
-  /// polling path stays lock-free.
+  /// polling path stays lock-free. The sum of one tally per thread
+  /// index plus the fallback tally of callers that hold no index here;
+  /// relaxed reads, so exact once the refusing threads' work
+  /// happens-before the call (join, or a message), like totalCount().
   std::uint64_t lockFreeRefusals() const {
-    std::uint64_t N = 0;
-    for (const Shard &Sh : Shards)
-      N += Sh.FastRefusals.load(std::memory_order_relaxed);
+    std::uint64_t N = FallbackRefusals.N.load(std::memory_order_relaxed);
+    for (const RefusalTally &T : Refusals)
+      N += T.N.load(std::memory_order_relaxed);
     return N;
   }
 
@@ -362,16 +373,27 @@ public:
   }
 
 private:
-  /// One synchronization domain: lock, live count, pooled records, and
-  /// the refusal counter readers poll. Padded so neighbouring shards'
-  /// locks never false-share.
+  /// One synchronization domain: lock, live count and pooled records,
+  /// all written under the lock. Padded so neighbouring shards' locks
+  /// never false-share; with no lock-free counter in it, a shard fits
+  /// one line wherever the mutex leaves room.
   struct alignas(64) Shard {
     mutable std::mutex Lock;
     SharedRegion *FreePool = nullptr;   ///< deleted records for reuse
     SharedRegion *AllRecords = nullptr; ///< every record, via NextInShard
     std::size_t LiveCount = 0;          ///< records serving a region
-    /// Lock-free tryDelete refusals served from this shard's regions.
-    std::atomic<std::uint64_t> FastRefusals{0};
+  };
+  static_assert(sizeof(std::mutex) + 3 * sizeof(void *) > 64 ||
+                    sizeof(Shard) == 64,
+                "a shard must fit one cache line");
+
+  /// A lock-free refusal counter on its own line. Refusals[Tid] has one
+  /// writer, the thread holding index Tid, so it is bumped with a
+  /// relaxed load and store (see countLockFreeRefusal()); like a count
+  /// slot it belongs to the index, and RegLock hands it from one holder
+  /// to the next.
+  struct alignas(64) RefusalTally {
+    std::atomic<std::uint64_t> N{0};
   };
 
   /// One permanently-quiesced manager (see quiesce()). Non-owner
@@ -420,7 +442,16 @@ private:
     }
   }
 
+  /// Counts one lock-free tryDelete refusal: on the calling thread's
+  /// own tally when it registered here, else on the shared fallback.
+  void countLockFreeRefusal();
+
   Shard Shards[kNumShards];
+  RefusalTally Refusals[kMaxThreads];
+  /// Refusals by threads holding no index in this space (or whose
+  /// latest registration was in another space): many writers, so it
+  /// keeps the atomic add.
+  RefusalTally FallbackRefusals;
 
   // Quiesced-manager registry (cross-thread deletion hand-off). The
   // head is atomic so tryDelete can skip the lock entirely in spaces

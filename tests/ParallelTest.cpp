@@ -320,8 +320,8 @@ TEST_F(ParallelTest, ThreadsBuildInPrivateRegionsAndShare) {
 TEST_F(ParallelTest, VisiblyNonZeroCountRefusesLockFree) {
   // The optimistic fast path: when the relaxed sum is visibly
   // non-zero, tryDelete must refuse without touching the shard lock.
-  // The per-shard refusal counters are bumped only on the lock-free
-  // paths, so they are the observable proof.
+  // The refusal tallies are bumped only on the lock-free paths, so
+  // they are the observable proof.
   RegionManager Mgr{SafetyConfig::unsafeConfig()};
   unsigned Tid = Space.registerThread();
   SharedRegion *S = Space.share(Mgr.newRegion());
@@ -336,6 +336,150 @@ TEST_F(ParallelTest, VisiblyNonZeroCountRefusesLockFree) {
   EXPECT_TRUE(Space.tryDelete(S));
   EXPECT_EQ(Space.lockFreeRefusals(), 2u)
       << "a successful delete takes the locked path, not the counter";
+}
+
+/// Calls tryDelete on the pinned \p S \p N times; returns how many
+/// calls wrongly succeeded.
+int refuseRepeatedly(ParallelSpace &Space, SharedRegion *S, int N) {
+  int Accepted = 0;
+  for (int I = 0; I != N; ++I)
+    Accepted += Space.tryDelete(S);
+  return Accepted;
+}
+
+TEST_F(ParallelTest, RefusalTallyIsExactUnderConcurrentRefusers) {
+  // Registered threads bump their own index's tally with a plain load
+  // and store; unregistered ones share the atomic fallback. Neither
+  // may lose an increment when all of them refuse at once.
+  constexpr int kRegistered = 4, kUnregistered = 2, kTries = 10000;
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  SharedRegion *S = Space.share(Mgr.newRegion());
+  unsigned Pin = Space.registerThread();
+  Space.addRef(S, Pin);
+  std::atomic<int> Ready{0};
+  std::atomic<int> Accepted{0};
+  auto Refuser = [&](bool Register) {
+    std::unique_ptr<ThreadSlot> Slot;
+    if (Register)
+      Slot = std::make_unique<ThreadSlot>(Space);
+    Ready.fetch_add(1);
+    while (Ready.load() != kRegistered + kUnregistered) {
+    }
+    Accepted += refuseRepeatedly(Space, S, kTries);
+  };
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != kRegistered + kUnregistered; ++T)
+    Threads.emplace_back(Refuser, T < kRegistered);
+  for (auto &T : Threads)
+    T.join();
+  EXPECT_EQ(Accepted.load(), 0);
+  EXPECT_EQ(Space.lockFreeRefusals(),
+            std::uint64_t{kTries} * (kRegistered + kUnregistered));
+  Space.dropRef(S, Pin);
+  EXPECT_TRUE(Space.tryDelete(S));
+  Space.unregisterThread(Pin);
+}
+
+TEST_F(ParallelTest, ReissuedIndexAddsToEarlierHoldersTally) {
+  // A tally belongs to its index: the next holder keeps counting on it,
+  // and RegLock orders the old holder's last store before the new
+  // holder's first load, so nothing is lost at the hand-over.
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  SharedRegion *S = Space.share(Mgr.newRegion());
+  unsigned Pin = Space.registerThread();
+  Space.addRef(S, Pin);
+  unsigned First = 0, Second = 0;
+  std::thread([&] {
+    ThreadSlot Slot(Space);
+    First = Slot;
+    EXPECT_EQ(refuseRepeatedly(Space, S, 300), 0);
+  }).join();
+  EXPECT_EQ(Space.lockFreeRefusals(), 300u);
+  std::thread([&] {
+    ThreadSlot Slot(Space);
+    Second = Slot;
+    EXPECT_EQ(refuseRepeatedly(Space, S, 500), 0);
+  }).join();
+  EXPECT_EQ(Second, First) << "the index is reissued";
+  EXPECT_EQ(Space.lockFreeRefusals(), 800u);
+  Space.dropRef(S, Pin);
+  EXPECT_TRUE(Space.tryDelete(S));
+  Space.unregisterThread(Pin);
+}
+
+TEST_F(ParallelTest, ThreadRegisteredInTwoSpacesIsCountedInBoth) {
+  // A thread tallies under its latest registration only; its refusals
+  // in the other space go to that space's fallback. Either way each
+  // space counts every one of its own refusals, while another thread
+  // holding an index in the first space refuses alongside.
+  ParallelSpace Other;
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  SharedRegion *S = Space.share(Mgr.newRegion());
+  SharedRegion *T = Other.share(Mgr.newRegion());
+  unsigned PinS = Space.registerThread();
+  unsigned PinT = Other.registerThread();
+  Space.addRef(S, PinS);
+  Other.addRef(T, PinT);
+  std::thread Both([&] {
+    ThreadSlot InSpace(Space);
+    {
+      ThreadSlot InOther(Other);
+      EXPECT_EQ(refuseRepeatedly(Space, S, 7000), 0);
+      EXPECT_EQ(refuseRepeatedly(Other, T, 11000), 0);
+    }
+    EXPECT_EQ(refuseRepeatedly(Space, S, 13000), 0);
+  });
+  std::thread Neighbour([&] {
+    ThreadSlot InSpace(Space);
+    EXPECT_EQ(refuseRepeatedly(Space, S, 5000), 0);
+  });
+  Both.join();
+  Neighbour.join();
+  EXPECT_EQ(Space.lockFreeRefusals(), 25000u);
+  EXPECT_EQ(Other.lockFreeRefusals(), 11000u);
+  Space.dropRef(S, PinS);
+  Other.dropRef(T, PinT);
+  EXPECT_TRUE(Space.tryDelete(S));
+  EXPECT_TRUE(Other.tryDelete(T));
+  Other.unregisterThread(PinT);
+  Space.unregisterThread(PinS);
+}
+
+TEST_F(ParallelTest, GenerationMovesByOneAtEachBindAndRetire) {
+  // share() and tryDelete's retire step each bump the stamp by exactly
+  // one under the shard lock: odd while bound, even once retired, and
+  // the region's binding carries the bound value.
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  Region *R = Mgr.newRegion();
+  unsigned Home = ParallelSpace::shardOf(R);
+  SharedRegion *S = Space.share(R);
+  std::uint64_t Gen = S->generation();
+  EXPECT_EQ(Gen, 1u) << "a fresh record's first binding";
+  EXPECT_EQ(R->sharedBindingGen(), Gen);
+  ASSERT_TRUE(Space.tryDelete(S));
+  EXPECT_EQ(S->generation(), Gen + 1);
+  EXPECT_EQ(S->generation() % 2, 0u);
+  // Hardened builds never pool records, so there is no rebinding.
+  if (detail::kRsanEnabled)
+    return;
+
+  std::vector<Region *> Kept;
+  Region *Same = nullptr;
+  while (!Same) {
+    Region *C = Mgr.newRegion();
+    if (ParallelSpace::shardOf(C) == Home)
+      Same = C;
+    else
+      Kept.push_back(C);
+  }
+  SharedRegion *Again = Space.share(Same);
+  ASSERT_EQ(Again, S) << "the record must come back from the shard pool";
+  EXPECT_EQ(Again->generation(), Gen + 2);
+  EXPECT_EQ(Same->sharedBindingGen(), Gen + 2);
+  ASSERT_TRUE(Space.tryDelete(Again));
+  EXPECT_EQ(Again->generation(), Gen + 3);
+  for (Region *C : Kept)
+    Mgr.deleteRegionRaw(C);
 }
 
 TEST_F(ParallelTest, ManyRegionsAcrossShardsDeleteInAnyOrder) {
