@@ -96,13 +96,6 @@ public:
   template <class T> void dispose(T *) {}
   template <class T> void disposeArray(T *, std::size_t) {}
 
-  /// Barrier-free store into a counted slot the workload proves lives
-  /// in \p Scope's region along with the old and new values (the
-  /// per-store sameregion elision; containment debug-asserted).
-  template <class T> void assignSame(Ptr<T> &Slot, T *New, Token &Scope) {
-    assignKnownRegion(Slot, New, Scope.get());
-  }
-
   /// Cache-trace hook for the Figure 10 harness.
   void touch(const void *P, std::size_t N, bool IsWrite = false) {
     if (Cache)
@@ -175,10 +168,6 @@ public:
       Malloc.free(P);
   }
 
-  template <class T> void assignSame(T *&Slot, T *New, Token &) {
-    Slot = New;
-  }
-
   void touch(const void *P, std::size_t N, bool IsWrite = false) {
     if (Cache)
       Cache->access(P, N, IsWrite);
@@ -239,10 +228,6 @@ public:
 
   template <class T> void dispose(T *) {}
   template <class T> void disposeArray(T *, std::size_t) {}
-
-  template <class T> void assignSame(T *&Slot, T *New, Token &) {
-    Slot = New;
-  }
 
   void touch(const void *P, std::size_t N, bool IsWrite = false) {
     if (Cache)

@@ -79,12 +79,6 @@ public:
     Inner.disposeArray(P, N);
   }
 
-  // Untimed like touch(): it replaces a plain pointer store, which the
-  // instrumentation never timed either.
-  template <class T> void assignSame(Ptr<T> &Slot, T *New, Token &Scope) {
-    Inner.assignSame(Slot, New, Scope);
-  }
-
   void touch(const void *P, std::size_t N, bool IsWrite = false) {
     Inner.touch(P, N, IsWrite);
   }

@@ -77,9 +77,9 @@ unsigned ParallelSpace::registerThread() {
     Tid = NextThread.load(std::memory_order_relaxed);
     if (Tid == kMaxThreads)
       reportFatalError("ParallelSpace: too many threads registered");
-    // Relaxed is enough: a share() that misses this publication sizes
-    // its array short and the new thread folds into Detached — counted
-    // correctly either way.
+    // Relaxed is enough: this store is sequenced before every
+    // adjustment the new holder makes, which is all a sum relies on
+    // (SharedRegion::totalCount()).
     NextThread.store(Tid + 1, std::memory_order_relaxed);
   }
   // Taking RegLock ordered the index's previous holder's last tally
@@ -108,11 +108,6 @@ void ParallelSpace::unregisterThread(unsigned Tid) {
 
 SharedRegion *ParallelSpace::share(Region *R) {
   assert(R && "sharing a null region");
-  // Size the local-count array to the slot high-water mark (with a
-  // floor for shares that precede registration); indices issued later
-  // than that fold into Detached.
-  unsigned Registered = NextThread.load(std::memory_order_relaxed);
-  unsigned Want = Registered > kMinCountSlots ? Registered : kMinCountSlots;
   // Record reuse: the shard FreePool first, then a fresh allocation.
   // A record is born in R's shard and only ever pooled back into it, so
   // its ShardIdx never changes after this allocation.
@@ -123,39 +118,37 @@ SharedRegion *ParallelSpace::share(Region *R) {
   if (S) {
     Sh.FreePool = S->NextFree;
     S->NextFree = nullptr;
+    // A retired record's sum is zero, not each slot (+1 on one thread,
+    // -1 on another). Clear only the slots that are not zero already:
+    // the rest are lines other threads' tryDelete sums keep cached,
+    // and rewriting a zero would invalidate them on every share. Every
+    // adjustment of the record's last occupancy happened before its
+    // retirement under this lock, so the issued count read here covers
+    // each index that made one.
+    for (unsigned I = 0, E = NextThread.load(std::memory_order_relaxed);
+         I != E; ++I)
+      if (S->Local[I].Count.load(std::memory_order_relaxed) != 0)
+        S->Local[I].Count.store(0, std::memory_order_relaxed);
+    S->Deleting.store(false, std::memory_order_relaxed);
   } else {
     S = new SharedRegion();
+    S->Issued = &NextThread;
     S->ShardIdx = ShardIdx;
     S->NextInShard = Sh.AllRecords;
     Sh.AllRecords = S;
   }
-  if (S->NumSlots < Want) {
-    delete[] S->Local;
-    S->Local = new SharedRegion::PaddedCount[Want];
-    S->NumSlots = Want;
-  } else {
-    // A retired record's sum is zero, not each slot (+1 on one thread,
-    // -1 on another). Clear only the slots that are not zero already:
-    // the rest are lines other threads' tryDelete sums keep cached,
-    // and rewriting a zero would invalidate them on every share.
-    for (unsigned I = 0; I != S->NumSlots; ++I)
-      if (S->Local[I].Count.load(std::memory_order_relaxed) != 0)
-        S->Local[I].Count.store(0, std::memory_order_relaxed);
-  }
-  S->Detached.store(0, std::memory_order_relaxed);
-  S->Deleting.store(false, std::memory_order_relaxed);
-  S->Deleted.store(false, std::memory_order_release);
   S->R = R;
   S->RegionId = R->id();
   // Publish the Region → record binding resolving exchanges walk. The
   // generation moves odd (bound); a resolver that reads this binding
   // together with this stamp knows the record still serves R. The
-  // release store in bindShared orders the whole record setup above
-  // before the binding becomes visible. Gen only changes under this
-  // shard lock, so a plain load and store bump it.
+  // release stores here and in bindShared order the whole record setup
+  // above before the record reads as live or the binding becomes
+  // visible. Gen only changes under this shard lock, so a plain load
+  // bumps it.
   assert(!R->sharedBinding() && "share: region is already shared");
   std::uint64_t Gen = S->Gen.load(std::memory_order_relaxed) + 1;
-  S->Gen.store(Gen, std::memory_order_relaxed);
+  S->Gen.store(Gen, std::memory_order_release);
   assert(Gen % 2 == 1 && "bound records carry odd generations");
   R->bindShared(S, Gen);
   ++Sh.LiveCount;
@@ -164,7 +157,7 @@ SharedRegion *ParallelSpace::share(Region *R) {
 }
 
 bool ParallelSpace::tryDelete(SharedRegion *S) {
-  if (S->Deleted.load(std::memory_order_acquire))
+  if (S->retired())
     return false;
   // Optimistic refusal: a visibly non-zero relaxed sum means this call
   // could only refuse, so refuse without a lock. Polling threads
@@ -178,7 +171,7 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   // deleter wins the Deleting flag and runs the authoritative locked
   // recheck; losers refuse lock-free instead of stampeding the shard
   // lock. A successful delete keeps the flag set (the record is pooled
-  // with it), so stale retries keep failing here or at the Deleted
+  // with it), so stale retries keep failing here or at the retired
   // check above.
   bool Expected = false;
   if (S->totalCount() != 0 ||
@@ -238,16 +231,16 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
                       /*LockFree=*/0);
     return false;
   }
-  // Retire the record: the generation moves even, so any (record,
-  // generation) pair a racing resolver tore off a stale region binding
-  // fails its check instead of naming this record. Still under the
-  // shard lock, so a plain load and store bump it.
+  // Retire the record: the generation moves even, so stale tryDelete
+  // calls stop at the retired check, and any (record, generation) pair
+  // a racing resolver tore off a stale region binding fails its check
+  // instead of naming this record. Still under the shard lock, so a
+  // plain load bumps it; the release pairs with retired()'s acquire.
   S->Gen.store(S->Gen.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
-  S->Deleted.store(true, std::memory_order_release);
+               std::memory_order_release);
   // Pool the record. Under RGN_HARDEN it is never reused (it stays on
   // the shard's chain until the space dies): a stale handle then always
-  // finds Deleted set (see rsanCheckLive) rather than the record's next
+  // finds it retired (see rsanCheckLive) rather than the record's next
   // occupant.
   --Sh.LiveCount;
   if constexpr (!detail::kRsanEnabled) {

@@ -32,9 +32,9 @@
 /// same lock or lines, so a server workload cycling one region per
 /// request scales with threads instead of convoying on one mutex.
 /// Only thread-slot issuance (registerThread/unregisterThread) remains
-/// a small global critical section, and the slot high-water mark is
-/// published through an atomic so per-shard share() calls size their
-/// local-count arrays coherently without it.
+/// a small global critical section; the number of indices it has issued
+/// is published through an atomic, so sums and share() read only the
+/// issued prefix of each record's count array without taking it.
 ///
 /// tryDelete() is optimistic: it takes a lock-free relaxed sum first,
 /// and refuses without any lock when the sum is visibly non-zero —
@@ -48,16 +48,14 @@
 /// conservative-safe, and a zero sum is rechecked under the lock before
 /// anything is freed.
 ///
-/// Local-count storage is sized per SharedRegion when share() runs (at
-/// least kMinCountSlots, at most the slot high-water mark), instead of
-/// a fixed kMaxThreads-wide array; threads whose slot index exceeds a
-/// region's array fold into one shared Detached counter. A slot belongs
-/// to its index, not to one thread: unregisterThread() leaves the
-/// exiting thread's balances where they are, and the index's next
-/// holder adds to them. Deletion reads only sums, so nothing has to
-/// move. SharedRegion records are pooled per shard: tryDelete returns
-/// the record to its shard's free list and the shard's next share()
-/// reuses it.
+/// Every SharedRegion holds one count slot per possible thread index
+/// (kMaxThreads, inline), so every index has its own slot in every
+/// record, whenever it was issued. A slot belongs to its index, not to
+/// one thread: unregisterThread() leaves the exiting thread's balances
+/// where they are, and the index's next holder adds to them. Deletion
+/// reads only sums, so nothing has to move. SharedRegion records are
+/// pooled per shard: tryDelete returns the record to its shard's free
+/// list and the shard's next share() reuses it.
 ///
 /// The shared-slot write is *self-resolving*: the paper requires the
 /// atomic exchange precisely so the process knows which reference was
@@ -89,6 +87,7 @@
 #include "support/Harden.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -100,12 +99,6 @@ namespace par {
 /// unregisterThread() recycles indices, so total thread count over a
 /// space's lifetime is unbounded.
 inline constexpr unsigned kMaxThreads = 32;
-
-/// Floor on a SharedRegion's local-count array. Regions shared before
-/// any thread registers (a common pattern: main shares, workers join)
-/// still get uncontended per-thread slots for the first
-/// kMinCountSlots thread indices.
-inline constexpr unsigned kMinCountSlots = 8;
 
 /// Shard count for create/delete synchronization. Power of two; eight
 /// shards already out-number the arenas most workloads run (one per
@@ -125,20 +118,29 @@ public:
   /// channel that handed this record over); a mid-flight racy sum is
   /// a mere snapshot, which is why tryDelete's lock-free use of it
   /// can only *refuse*, never free.
+  ///
+  /// Only the indices the space has issued are read. That loses no
+  /// adjustment the sum must see: a thread's registration (the store
+  /// that raised the issued count past its index, or for a reissued
+  /// index the RegLock hand-over that follows it) happens-before each
+  /// of its adjustments, so whenever an adjustment happens-before this
+  /// call, so does a store of an issued count above its index, and
+  /// even a relaxed load of the count returns that value or a later
+  /// (larger) one. An index never issued has never been adjusted.
   std::int64_t totalCount() const {
-    std::int64_t Sum = Detached.load(std::memory_order_relaxed);
-    for (unsigned I = 0; I != NumSlots; ++I)
+    std::int64_t Sum = 0;
+    for (unsigned I = 0, E = Issued->load(std::memory_order_relaxed); I != E;
+         ++I)
       Sum += Local[I].Count.load(std::memory_order_relaxed);
     return Sum;
   }
 
   /// Slot \p Tid's count — the adjustments of every thread that has
-  /// held that index, not only its current holder — or the detached
-  /// count when \p Tid is beyond this record's array (diagnostics and
+  /// held that index, not only its current holder (diagnostics and
   /// tests; the sum above is what deletion reads).
   std::int64_t localCount(unsigned Tid) const {
-    return Tid < NumSlots ? Local[Tid].Count.load(std::memory_order_relaxed)
-                          : Detached.load(std::memory_order_relaxed);
+    assert(Tid < kMaxThreads && "not a thread index");
+    return Local[Tid].Count.load(std::memory_order_relaxed);
   }
 
   /// Occupancy stamp: odd while the record serves a region, even while
@@ -164,11 +166,14 @@ private:
   };
 
   SharedRegion() = default;
-  ~SharedRegion() { delete[] Local; }
 
+  /// One slot per possible index: 2 KiB of malloc'd memory per record
+  /// (kMaxThreads lines), outside the region arena.
+  PaddedCount Local[kMaxThreads];
   Region *R = nullptr;
-  PaddedCount *Local = nullptr; ///< owned array of NumSlots entries
-  unsigned NumSlots = 0;
+  /// The owning space's issued-index count (ParallelSpace::NextThread):
+  /// how much of Local sums and share() read. Set once at allocation.
+  const std::atomic<unsigned> *Issued = nullptr;
   unsigned RegionId = 0;  ///< cached R->id(): traceable after R dies
   /// The shard that allocated this record and pools it. Set once, under
   /// that shard's lock, before the record is first published; records
@@ -177,22 +182,21 @@ private:
   SharedRegion *NextFree = nullptr; ///< free-list link while pooled
   /// Chains every record one shard ever allocated, for the destructor.
   SharedRegion *NextInShard = nullptr;
-  /// Catch-all count: threads whose slot index is outside Local.
-  /// Contended in theory, but only ever touched by late-joining threads
-  /// beyond the array.
-  std::atomic<std::int64_t> Detached{0};
-  /// Set once the region is gone; checked first (acquire) so stale
-  /// tryDelete calls are cheap no-ops. Reset when the record is reused.
-  std::atomic<bool> Deleted{false};
   /// Deletion arbitration: the CAS winner owns the authoritative
   /// locked recheck; losers refuse lock-free instead of queueing on
   /// the shard lock. Left set by a successful delete (the record is
   /// pooled with it) and cleared on refusal or reuse.
   std::atomic<bool> Deleting{false};
-  /// Occupancy stamp; see generation(). Written only under the shard
-  /// lock (share(), tryDelete's retire step), so a plain load and store
-  /// bump it; resolvers read it lock-free, hence the atomic.
+  /// Occupancy stamp; see generation(). Even means retired (or never
+  /// bound), so stale tryDelete calls check it first (acquire) and
+  /// return cheaply. Written only under the shard lock (share(),
+  /// tryDelete's retire step), so a plain load and a release store bump
+  /// it; resolvers read it lock-free, hence the atomic.
   std::atomic<std::uint64_t> Gen{0};
+
+  bool retired() const {
+    return Gen.load(std::memory_order_acquire) % 2 == 0;
+  }
 };
 
 /// Out-of-line cold tail of resolveSharedRegion(): the (record,
@@ -419,27 +423,23 @@ private:
   /// disabled under harden precisely so this stays detectable).
   static void rsanCheckLive(const SharedRegion *S) {
     if constexpr (detail::kRsanEnabled) {
-      if (S->Deleted.load(std::memory_order_acquire))
+      if (S->retired())
         reportFatalError(
             "rsan: count adjustment on a retired SharedRegion record "
             "(stale shared-region handle)");
     }
   }
 
-  /// Adds \p Delta to thread \p Tid's count for \p S. A slot inside S's
-  /// array has one writer, thread \p Tid, so a relaxed load and store
-  /// suffice: no other thread's write can fall between them, and
-  /// readers see either value. The detached counter is shared by every
-  /// thread beyond the array and keeps the atomic add.
+  /// Adds \p Delta to thread \p Tid's count for \p S. The slot has one
+  /// writer, thread \p Tid, so a relaxed load and store suffice: no
+  /// other thread's write can fall between them, and readers see
+  /// either value.
   static void adjust(SharedRegion *S, unsigned Tid, std::int64_t Delta) {
     rsanCheckLive(S);
-    if (RGN_LIKELY(Tid < S->NumSlots)) {
-      std::atomic<std::int64_t> &C = S->Local[Tid].Count;
-      C.store(C.load(std::memory_order_relaxed) + Delta,
-              std::memory_order_relaxed);
-    } else {
-      S->Detached.fetch_add(Delta, std::memory_order_relaxed);
-    }
+    assert(Tid < kMaxThreads && "not a thread index");
+    std::atomic<std::int64_t> &C = S->Local[Tid].Count;
+    C.store(C.load(std::memory_order_relaxed) + Delta,
+            std::memory_order_relaxed);
   }
 
   /// Counts one lock-free tryDelete refusal: on the calling thread's
@@ -463,10 +463,11 @@ private:
   // Thread-slot issuance: the one global critical section left.
   std::mutex RegLock;
   std::vector<unsigned> FreeTids; ///< recycled thread slots
-  /// Slot high-water mark. Written under RegLock, read relaxed by
-  /// share() on any shard to size local-count arrays: a stale (small)
-  /// read only means a just-registered thread folds into Detached for
-  /// that region, which the counting protocol already handles.
+  /// Indices issued so far (never falls: freed indices are reissued
+  /// from FreeTids). Written under RegLock; read relaxed by sums and
+  /// share() on any shard through SharedRegion::Issued (see
+  /// SharedRegion::totalCount() for why that read sees every index an
+  /// exact sum needs).
   std::atomic<unsigned> NextThread{0};
 };
 

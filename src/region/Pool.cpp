@@ -28,9 +28,9 @@ void RegionPool::park(Region *R) {
     // pool-trim trace — the region was never parked, so the
     // pooled-regions counter track must not tick down.
     ++Mgr.poolStatsMutable().Trims;
-    bool Deleted = Mgr.deleteRegionRaw(R);
-    assert(Deleted && "an empty, unreferenced region must delete");
-    (void)Deleted;
+    bool Freed = Mgr.deleteRegionRaw(R);
+    assert(Freed && "an empty, unreferenced region must delete");
+    (void)Freed;
     return;
   }
   // Make room under both bounds by evicting the oldest (coldest)
@@ -53,9 +53,9 @@ void RegionPool::trimFront() {
   rstat::traceEvent(rstat::EventKind::PoolTrim, E.R->id(), E.Pages);
   // Whole-run return: freeRegionMemory walks the run table, so the
   // PageSource sees each retained run intact and coalescer-friendly.
-  bool Deleted = Mgr.deleteRegionRaw(E.R);
-  assert(Deleted && "a pooled region must delete cleanly");
-  (void)Deleted;
+  bool Freed = Mgr.deleteRegionRaw(E.R);
+  assert(Freed && "a pooled region must delete cleanly");
+  (void)Freed;
 }
 
 void RegionPool::trimAll() {

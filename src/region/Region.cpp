@@ -49,14 +49,6 @@ RegionManager::~RegionManager() {
   std::fill(Map, Map + Source.frontierPages(), nullptr);
 }
 
-void regions::Region::spillBarrierPacked() {
-  std::uint64_t P = BarrierPacked;
-  BarrierPacked = 0;
-  BarrierStoresDelta += P & kBarrierFieldMask;
-  BarrierAdjustmentsDelta += (P >> kBarrierAdjShift) & kBarrierFieldMask;
-  BarrierSameRegionDelta += (P >> kBarrierSameShift) & kBarrierFieldMask;
-}
-
 void RegionManager::setMapRange(const void *Page, std::size_t NumPages,
                                 Region *R) {
   std::size_t Idx = Source.pageIndex(Page);
@@ -180,11 +172,12 @@ Region *RegionManager::newRegion() {
   constexpr auto Line = [](std::size_t Off) {
     return (sizeof(PageHeader) + Off) / 64;
   };
-  static_assert(Line(offsetof(Region, RC)) ==
-                        Line(offsetof(Region, BarrierPacked)) &&
-                    Line(offsetof(Region, CountRefs)) ==
-                        Line(offsetof(Region, BarrierPacked)),
-                "BarrierPacked, RC and CountRefs must share a cache line");
+  constexpr std::size_t BarrierLine = Line(offsetof(Region, RC));
+  static_assert(Line(offsetof(Region, CountRefs)) == BarrierLine &&
+                    Line(offsetof(Region, BarrierSameStores)) == BarrierLine &&
+                    Line(offsetof(Region, BarrierOtherStores)) == BarrierLine &&
+                    Line(offsetof(Region, BarrierAdjustments)) == BarrierLine,
+                "RC, CountRefs and the barrier counters must share a line");
   std::uint32_t CacheOffset = 64 * (NextRegionId % 9);
   auto *R = ::new (Page + sizeof(PageHeader) + CacheOffset) Region();
   R->Mgr = this;
@@ -592,10 +585,9 @@ bool RegionManager::resetRegion(Region *R) {
   R->LargeHead = nullptr;
   R->NumAllocs = 0;
   R->ReqBytes = 0;
-  R->BarrierPacked = 0;
-  R->BarrierStoresDelta = 0;
-  R->BarrierSameRegionDelta = 0;
-  R->BarrierAdjustmentsDelta = 0;
+  R->BarrierSameStores = 0;
+  R->BarrierOtherStores = 0;
+  R->BarrierAdjustments = 0;
 
   // The logical-id bump: rstat lifetime histograms and id()-keyed
   // consumers see a brand-new region from here on.

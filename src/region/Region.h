@@ -277,45 +277,26 @@ public:
   }
   /// @}
 
-  /// The three barrier counters ride in one packed word so a store's
-  /// bookkeeping is a single read-modify-write: stores in bits [0,21),
-  /// count adjustments in [21,42), sameregion stores in [42,63). The
-  /// word spills into the wide Barrier*Delta fields every 2^19 stores —
-  /// before any field can saturate (adjustments grow at most twice per
-  /// store, so they stay under 2^20 between spills).
-  static constexpr unsigned kBarrierAdjShift = 21;
-  static constexpr unsigned kBarrierSameShift = 42;
-  static constexpr std::uint64_t kBarrierFieldMask = (1ull << 21) - 1;
-  static constexpr std::uint64_t kBarrierSpillMask = (1ull << 19) - 1;
-
-  /// Records one barrier event, pre-packed by the caller: 1 for the
-  /// store itself, plus (adjustments << kBarrierAdjShift) and
-  /// (sameregion << kBarrierSameShift). Deferred: lands on this
-  /// region's own counter and is folded into the manager's view at
-  /// stats()/deletion time.
-  void noteBarrierEvent(std::uint64_t Event) {
-    BarrierPacked += Event;
-    if (RGN_UNLIKELY((BarrierPacked & kBarrierSpillMask) == 0))
-      spillBarrierPacked();
+  /// Barrier bookkeeping, kept on this region's own counters and
+  /// folded into the manager's view at stats()/deletion time. A store
+  /// is sameregion when its old and new values lie in one region
+  /// (barrierAssign) or its slot lies in one of theirs
+  /// (barrierCrossRegion); \p Adjustments counts its ±1 count changes.
+  void noteSameRegionStore() { ++BarrierSameStores; }
+  void noteBarrierStore(bool SameRegion, unsigned Adjustments) {
+    if (SameRegion)
+      ++BarrierSameStores;
+    else
+      ++BarrierOtherStores;
+    BarrierAdjustments += Adjustments;
   }
 
-  /// Barrier bookkeeping for a store resolved as sameregion.
-  void noteSameRegionStore() {
-    noteBarrierEvent(1 + (1ull << kBarrierSameShift));
-  }
-
-  /// Barrier stores attributed to this region, spilled plus live.
+  /// Barrier stores attributed to this region, by outcome.
   std::uint64_t barrierStores() const {
-    return BarrierStoresDelta + (BarrierPacked & kBarrierFieldMask);
+    return BarrierSameStores + BarrierOtherStores;
   }
-  std::uint64_t barrierSameRegion() const {
-    return BarrierSameRegionDelta +
-           ((BarrierPacked >> kBarrierSameShift) & kBarrierFieldMask);
-  }
-  std::uint64_t barrierAdjustments() const {
-    return BarrierAdjustmentsDelta +
-           ((BarrierPacked >> kBarrierAdjShift) & kBarrierFieldMask);
-  }
+  std::uint64_t barrierSameRegion() const { return BarrierSameStores; }
+  std::uint64_t barrierAdjustments() const { return BarrierAdjustments; }
 
 private:
   friend class RegionManager;
@@ -386,23 +367,21 @@ private:
   // always-false compare in carvePage.
   std::uint32_t NextReserve = 0;
   std::uint32_t ReserveEnd = 0;
-  // Cold fields, placed so that BarrierPacked starts a cache line.
+  // Cold fields, placed so that the barrier line follows.
   unsigned Id = 0;
   Region *PrevLive = nullptr;
   // The barrier line: a counted cross-region store reads CountRefs,
-  // adjusts RC and bumps the packed statistics word, so the three share
+  // adjusts RC and bumps the statistics counters, so all of them share
   // one cache line (checked in newRegion). OutRefs is adjusted on the
   // slot's region instead, and read next to RC when a region retires.
   // Threads storing into one region's slots, each pointing into its own
   // target, share no count but do share OutRefs, so it alone is atomic.
-  // The wide spill targets follow, folded like NumAllocs/ReqBytes.
-  std::uint64_t BarrierPacked = 0;
+  std::uint64_t BarrierSameStores = 0;
   long long RC = 0;
   std::atomic<long long> OutRefs{0};
   bool CountRefs = false;
-  std::uint64_t BarrierStoresDelta = 0;
-  std::uint64_t BarrierSameRegionDelta = 0;
-  std::uint64_t BarrierAdjustmentsDelta = 0;
+  std::uint64_t BarrierOtherStores = 0;
+  std::uint64_t BarrierAdjustments = 0;
   Region *NextLive = nullptr;
   // The shared-record binding (see sharedBinding() above). Cold: only
   // share/tryDelete write it and only resolving exchanges read it, so
@@ -410,10 +389,6 @@ private:
   // barrier cache lines. Atomics keep Region trivially destructible.
   std::atomic<par::SharedRegion *> SharedRec{nullptr};
   std::atomic<std::uint64_t> SharedRecGen{0};
-
-  /// Moves the packed word's fields into the wide deltas. Out of line:
-  /// runs once per 2^19 stores.
-  void spillBarrierPacked();
 };
 
 namespace detail {
@@ -500,12 +475,12 @@ RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
                                           Region *NewR,
                                           const ArenaProbe &Probe) {
   Region *SlotR = Probe.lookup(Slot);
-  // The event word and the out-reference delta are built with add-
-  // immediates inside branches the counting logic takes anyway — no
-  // separate flag materialization, and one store to the slot's region
-  // after the branches rather than one per adjustment.
-  std::uint64_t Event = 1;
+  // The adjustment tally and the out-reference delta are built inside
+  // branches the counting logic takes anyway, and land in one store
+  // each after them rather than one per adjustment.
+  unsigned Adj = 0;
   long long Out = 0;
+  bool Same = false;
   if (RGN_LIKELY(OldR != SlotR && NewR != SlotR)) {
     // Neither endpoint shares the slot's region, so the store is not
     // sameregion: the endpoint inequality tests double as the
@@ -513,33 +488,34 @@ RGN_ALWAYS_INLINE void barrierCrossRegion(void **Slot, Region *OldR,
     if (OldR && OldR->countsRefs()) {
       OldR->rcAdd(-1);
       --Out;
-      Event += 1ull << Region::kBarrierAdjShift;
+      ++Adj;
     }
     if (NewR && NewR->countsRefs()) {
       NewR->rcAdd(+1);
       ++Out;
-      Event += 1ull << Region::kBarrierAdjShift;
+      ++Adj;
     }
   } else {
     // The slot lives in one endpoint's region; that side is an internal
-    // reference while the other may still adjust.
-    if ((OldR && OldR == SlotR) || (NewR && NewR == SlotR))
-      Event += 1ull << Region::kBarrierSameShift;
+    // reference while the other may still adjust. The endpoints differ,
+    // so the store is sameregion unless the shared "region" is null (a
+    // global or stack slot next to a null endpoint).
+    Same = SlotR != nullptr;
     if (OldR && OldR != SlotR && OldR->countsRefs()) {
       OldR->rcAdd(-1);
       --Out;
-      Event += 1ull << Region::kBarrierAdjShift;
+      ++Adj;
     }
     if (NewR && NewR != SlotR && NewR->countsRefs()) {
       NewR->rcAdd(+1);
       ++Out;
-      Event += 1ull << Region::kBarrierAdjShift;
+      ++Adj;
     }
   }
   // Stats park on the store's region — the new value's region when
   // there is one, the old value's otherwise — matching the manager the
   // eager scheme attributed to.
-  (NewR ? NewR : OldR)->noteBarrierEvent(Event);
+  (NewR ? NewR : OldR)->noteBarrierStore(Same, Adj);
   // A global or stack slot has no region whose cleanup could release
   // the reference.
   if (Out && SlotR)

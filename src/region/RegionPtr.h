@@ -287,26 +287,6 @@ private:
 static_assert(std::is_trivially_destructible_v<SameRegionPtr<int>>,
               "sameregion pointers need no cleanup");
 
-/// Stores \p New into the counted slot \p Slot when the caller can
-/// prove statically that slot, old value, and new value all live in
-/// region \p R — the per-store form of the sameregion elision that
-/// SameRegionPtr expresses per-field. The store skips the barrier
-/// entirely (no stats, no counts: a sameregion store adjusts no counts
-/// anyway, so observable reference counts are unchanged); debug builds
-/// assert the containment claim.
-template <typename T>
-inline void assignKnownRegion(RegionPtr<T> &Slot, T *New, Region *R) {
-  assert(R && "assignKnownRegion needs the witnessing region");
-  assert(regionOf(static_cast<void *>(&Slot)) == R &&
-         "slot must live in the claimed region");
-  assert((!New || regionOf(static_cast<const void *>(New)) == R) &&
-         "new value must live in the claimed region");
-  assert((!Slot.get() ||
-          regionOf(static_cast<const void *>(Slot.get())) == R) &&
-         "old value must live in the claimed region");
-  *Slot.slotAddress() = const_cast<void *>(static_cast<const void *>(New));
-}
-
 /// Deletes the region referred to by local handle \p Handle (paper:
 /// deleteregion(&r) with r a local). On success the handle is nulled
 /// and true is returned; on failure (external references remain) the

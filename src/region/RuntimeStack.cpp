@@ -41,7 +41,6 @@ void RuntimeStack::unscanTopFrame() {
   for (SlotNode *N = SlotsHead; N != Top->SlotsAtPush; N = N->Prev) {
     ++Stats.SlotsVisited;
     stackAdjust(*N->Addr, -1);
-    --NumScannedSlots;
   }
   Top->Scanned = false;
   --NumScannedFrames;
@@ -66,7 +65,6 @@ void RuntimeStack::scanForDelete() {
        N = N->Prev) {
     ++Stats.SlotsVisited;
     stackAdjust(*N->Addr, +1);
-    ++NumScannedSlots;
   }
   for (FrameLink *F = Top->Parent; F && !F->Scanned; F = F->Parent) {
     F->Scanned = true;
@@ -103,8 +101,7 @@ void RuntimeStack::resetForTesting() {
   SlotsHead = nullptr;
   NumFrames = 0;
   NumScannedFrames = 0;
-  NumSlots = 0;
-  NumScannedSlots = 0;
+  NumRegisteredSlots = 0;
   BaseFrame = FrameLink{};
   Stats = Counters{};
 }

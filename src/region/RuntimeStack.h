@@ -53,7 +53,6 @@ struct FrameLink {
   FrameLink *Parent = nullptr;       ///< next older frame
   struct SlotNode *SlotsAtPush = nullptr; ///< newest slot when pushed
   bool Scanned = false;              ///< at or below the high-water mark
-  std::uint32_t Depth = 0;           ///< index from the stack bottom
 };
 
 /// Shadow-stack record of one registered local slot, embedded in
@@ -79,7 +78,6 @@ public:
     F->Parent = Top;
     F->SlotsAtPush = SlotsHead;
     F->Scanned = false;
-    F->Depth = static_cast<std::uint32_t>(NumFrames);
     Top = F;
     ++NumFrames;
   }
@@ -108,7 +106,7 @@ public:
     N->Prev = SlotsHead;
     N->Owner = F;
     SlotsHead = N;
-    ++NumSlots;
+    ++NumRegisteredSlots;
   }
 
   /// Unregisters the most recently registered slot. Registration is
@@ -117,9 +115,7 @@ public:
     assert(SlotsHead == N &&
            "local region pointers must unregister in LIFO order");
     SlotsHead = N->Prev;
-    --NumSlots;
-    if (RGN_UNLIKELY(N->Owner->Scanned))
-      --NumScannedSlots;
+    --NumRegisteredSlots;
   }
 
   /// Stores \p NewVal into the registered slot \p N. Free for slots in
@@ -160,11 +156,7 @@ public:
 
   std::size_t frameCount() const { return NumFrames; }
   std::size_t scannedFrameCount() const { return NumScannedFrames; }
-  std::size_t slotCount() const { return NumSlots; }
-
-  /// Number of slots belonging to scanned frames (their references are
-  /// already reflected in region counts).
-  std::size_t scannedSlotCount() const { return NumScannedSlots; }
+  std::size_t slotCount() const { return NumRegisteredSlots; }
 
   /// Newest registered slot, start of the intrusive slot list (older
   /// slots via SlotNode::Prev). Used by the conservative collector,
@@ -202,8 +194,7 @@ private:
   SlotNode *SlotsHead = nullptr;
   std::size_t NumFrames = 0;
   std::size_t NumScannedFrames = 0;
-  std::size_t NumSlots = 0;
-  std::size_t NumScannedSlots = 0;
+  std::size_t NumRegisteredSlots = 0;
   FrameLink BaseFrame; ///< storage for the implicit base frame
   Counters Stats;
 };
@@ -222,8 +213,6 @@ public:
   Frame(const Frame &) = delete;
   Frame &operator=(const Frame &) = delete;
   ~Frame() { RuntimeStack::current().popFrame(&Link); }
-
-  std::size_t index() const { return Link.Depth; }
 
 private:
   FrameLink Link;

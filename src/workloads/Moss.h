@@ -152,11 +152,9 @@ MossResult runMoss(M &Mem, const MossOptions &Opt) {
               P->Doc = Doc;
               P->Pos = DocOffset + WindowPos[MinIdx];
               P->Next = Buckets[B];
-              // Head slots, old heads, and the new posting all live in
-              // the index scope: the per-store sameregion elision.
-              Mem.assignSame(Buckets[B], P, IndexScope);
+              Buckets[B] = P;
               P->DocNext = DocHeads[Doc];
-              Mem.assignSame(DocHeads[Doc], P, IndexScope);
+              DocHeads[Doc] = P;
               ++Result.Fingerprints;
             }
           }

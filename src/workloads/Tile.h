@@ -102,8 +102,7 @@ TileResult runTile(M &Mem, const TileOptions &Opt) {
         E->Hash = H;
         E->Id = NumWords++;
         E->Next = Buckets[B];
-        // Bucket slot, old head, and new entry all live in Scope.
-        Mem.assignSame(Buckets[B], E, Scope);
+        Buckets[B] = E;
       }
       Mem.touch(E, sizeof(VocabEntry), false);
       if (NumTokens == CapTokens) {

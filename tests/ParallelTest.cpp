@@ -485,7 +485,7 @@ TEST_F(ParallelTest, GenerationMovesByOneAtEachBindAndRetire) {
 TEST_F(ParallelTest, ManyRegionsAcrossShardsDeleteInAnyOrder) {
   // Spread enough regions that every shard sees traffic, then delete
   // in an order unrelated to creation; re-share afterwards so pooled
-  // records get reused with clean state (counts zeroed, Deleted and
+  // records get reused with clean state (counts zeroed, generation and
   // Deleting flags reset).
   RegionManager Mgr{SafetyConfig::unsafeConfig(), std::size_t{64} << 20};
   constexpr int kRegions = 64;
@@ -554,21 +554,63 @@ unsigned handOverOneReference(ParallelSpace &Space, SharedRegion *S) {
 
 TEST_F(ParallelTest, UnregisteredBalanceStaysInItsSlot) {
   RegionManager Mgr{SafetyConfig::unsafeConfig()};
-  EXPECT_LT(handOverOneReference(Space, Space.share(Mgr.newRegion())),
-            kMinCountSlots);
+  EXPECT_EQ(handOverOneReference(Space, Space.share(Mgr.newRegion())), 0u);
 }
 
 TEST_F(ParallelTest, UnregisteredBalanceBeyondTheArrayStaysDetached) {
-  // The same hand-over for an index past the record's count array:
-  // both holders adjust the shared Detached counter.
+  // The same hand-over for an index issued after the region was shared,
+  // past the indices in use when share() cleared its slots. Every record
+  // has a slot for every index, so the balance stays in that slot,
+  // detached from any live thread, until the index is reissued.
   RegionManager Mgr{SafetyConfig::unsafeConfig()};
-  SharedRegion *S = Space.share(Mgr.newRegion()); // kMinCountSlots slots
-  std::vector<unsigned> Inside;
-  for (unsigned I = 0; I != kMinCountSlots; ++I)
-    Inside.push_back(Space.registerThread());
-  EXPECT_GE(handOverOneReference(Space, S), kMinCountSlots);
-  for (unsigned Tid : Inside)
+  SharedRegion *S = Space.share(Mgr.newRegion());
+  std::vector<unsigned> Held;
+  for (unsigned I = 0; I != 8; ++I)
+    Held.push_back(Space.registerThread());
+  EXPECT_EQ(handOverOneReference(Space, S), 8u) << "issued after share()";
+  for (unsigned Tid : Held)
     Space.unregisterThread(Tid);
+}
+
+TEST_F(ParallelTest, EveryIndexCountsOnARecordSharedBeforeRegistration) {
+  // The record is shared while no index is issued yet; then kMaxThreads
+  // threads register, and each takes a reference and drops it. Sums
+  // read every issued index, so they are exact at each step, and of the
+  // deleters racing after the drops at most one accepts.
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  SharedRegion *S = Space.share(Mgr.newRegion());
+  Space.quiesce(Mgr); // any worker may run the destructive step
+  std::atomic<unsigned> Added{0};
+  std::atomic<bool> Drop{false};
+  std::atomic<unsigned> Accepted{0};
+  std::vector<std::thread> Workers;
+  for (unsigned I = 0; I != kMaxThreads; ++I)
+    Workers.emplace_back([&] {
+      ThreadSlot Tid(Space);
+      Space.addRef(S, Tid);
+      Added.fetch_add(1, std::memory_order_release);
+      while (!Drop.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      Space.dropRef(S, Tid);
+      if (Space.tryDelete(S))
+        Accepted.fetch_add(1, std::memory_order_relaxed);
+    });
+  while (Added.load(std::memory_order_acquire) != kMaxThreads)
+    std::this_thread::yield();
+  EXPECT_EQ(S->totalCount(), static_cast<std::int64_t>(kMaxThreads));
+  for (unsigned I = 0; I != kMaxThreads; ++I)
+    EXPECT_EQ(S->localCount(I), 1) << "index " << I;
+  EXPECT_FALSE(Space.tryDelete(S));
+  Drop.store(true, std::memory_order_release);
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(S->totalCount(), 0);
+  // Racing relaxed sums may all have refused; after the joins the sum
+  // is exact, so this attempt accepts exactly when no worker did.
+  bool Late = Space.tryDelete(S);
+  EXPECT_EQ(Accepted.load() + (Late ? 1u : 0u), 1u)
+      << "exactly one tryDelete accepts";
+  EXPECT_EQ(Space.liveSharedRegions(), 0u);
 }
 
 #if !RGN_HARDEN_ENABLED
@@ -661,6 +703,16 @@ TEST_F(ParallelTest, DoubleUnregisterDies) {
   unsigned Tid = Space.registerThread();
   Space.unregisterThread(Tid);
   EXPECT_DEATH(Space.unregisterThread(Tid), "double unregisterThread");
+}
+
+TEST_F(ParallelTest, AdjustingWithAnIndexPastTheArrayDies) {
+  // Every record holds kMaxThreads slots and no more; an index
+  // registerThread cannot have issued must not write past them.
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  SharedRegion *S = Space.share(Mgr.newRegion());
+  EXPECT_DEATH(Space.addRef(S, kMaxThreads), "not a thread index");
+  EXPECT_DEATH(S->localCount(kMaxThreads), "not a thread index");
+  EXPECT_TRUE(Space.tryDelete(S));
 }
 
 } // namespace

@@ -380,8 +380,8 @@ TEST(RsanDeathTest, SameRegionPtrEscapeFatal) {
 TEST(RsanParallel, RetiredSharedRecordsAreNeverPooled) {
   // Under harden a successful tryDelete parks the record for good
   // instead of pooling it, so a stale SharedRegion* always finds a
-  // record whose Deleted flag is still set — never the record's next
-  // occupant. Without this, a pooled-and-reused record makes stale
+  // record whose generation is still even (retired) — never the
+  // record's next occupant. Without this, a pooled-and-reused record makes stale
   // addRef/tryDelete silently operate on an unrelated region.
   par::ParallelSpace Space;
   RegionManager Mgr(SafetyConfig::unsafeConfig());
@@ -399,7 +399,7 @@ TEST(RsanParallel, RetiredSharedRecordsAreNeverPooled) {
 TEST(RsanDeathTest, StaleSharedRegionHandleFatal) {
   // A count adjustment through a handle whose region was already
   // retired is the "pooled-and-reused record" bug in the making; with
-  // pooling disabled the generation/Deleted state makes it detectable
+  // pooling disabled the retired (even) generation makes it detectable
   // deterministically.
   par::ParallelSpace Space;
   RegionManager Mgr(SafetyConfig::unsafeConfig());
