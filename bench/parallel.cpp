@@ -203,11 +203,10 @@ void BM_TryDeleteRefusedRegistered(benchmark::State &State) {
 }
 BENCHMARK(BM_TryDeleteRefusedRegistered)->Threads(1)->Threads(2)->Threads(4);
 
-/// The synchronized slow path the paper confines to region lifetime:
-/// create a region, publish it as shared, delete it again.
-void BM_ShareDeleteCycle(benchmark::State &State) {
+/// Creates a region, publishes it as shared through \p Space and
+/// deletes it again, once per iteration.
+void shareDeleteCycles(benchmark::State &State, ParallelSpace &Space) {
   RegionManager Mgr{SafetyConfig::unsafeConfig()};
-  ParallelSpace Space;
   for (auto _ : State) {
     SharedRegion *S = Space.share(Mgr.newRegion());
     rnew<int>(S->region(), 1);
@@ -216,7 +215,27 @@ void BM_ShareDeleteCycle(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations());
 }
+
+/// The synchronized slow path the paper confines to region lifetime:
+/// create a region, publish it as shared, delete it again. The thread
+/// holds no ThreadSlot, so this is the fallback path: share() and the
+/// accepting tryDelete each take the region's shard lock.
+void BM_ShareDeleteCycle(benchmark::State &State) {
+  ParallelSpace Space;
+  shareDeleteCycles(State, Space);
+}
 BENCHMARK(BM_ShareDeleteCycle);
+
+/// The same cycle from a registered thread, as the pipeline's producer
+/// runs it: share() reuses the record the last tryDelete pooled on the
+/// thread's own index, and the accepting tryDelete's one locked
+/// instruction is the Deleting CAS. No shard lock on either side.
+void BM_ShareDeleteCycleRegistered(benchmark::State &State) {
+  ParallelSpace Space;
+  ThreadSlot Tid(Space);
+  shareDeleteCycles(State, Space);
+}
+BENCHMARK(BM_ShareDeleteCycleRegistered);
 
 /// The sharded claim: distinct regions created by distinct threads
 /// synchronize on distinct locks, so the create/delete slow path
@@ -224,16 +243,21 @@ BENCHMARK(BM_ShareDeleteCycle);
 /// through one shared space — under the old single space mutex this
 /// serialized completely.
 void BM_ShareDeleteCycleDistinct(benchmark::State &State) {
-  RegionManager Mgr{SafetyConfig::unsafeConfig()};
-  for (auto _ : State) {
-    SharedRegion *S = GState.Space.share(Mgr.newRegion());
-    rnew<int>(S->region(), 1);
-    bool Deleted = GState.Space.tryDelete(S);
-    benchmark::DoNotOptimize(Deleted);
-  }
-  State.SetItemsProcessed(State.iterations());
+  shareDeleteCycles(State, GState.Space);
 }
 BENCHMARK(BM_ShareDeleteCycleDistinct)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->Threads(8);
+
+/// The distinct-region churn from registered threads: each thread
+/// reuses its own index's records, so the rows take no lock at all.
+void BM_ShareDeleteCycleDistinctRegistered(benchmark::State &State) {
+  ThreadSlot Tid(GState.Space);
+  shareDeleteCycles(State, GState.Space);
+}
+BENCHMARK(BM_ShareDeleteCycleDistinctRegistered)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

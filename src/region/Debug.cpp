@@ -16,9 +16,11 @@ DeletionDiagnosis regions::diagnoseDeletion(Region *R,
                                             void *const *HandleSlot,
                                             bool HandleCounted) {
   DeletionDiagnosis D;
+  D.Shared = R->sharedBinding() != nullptr;
   const SafetyConfig &Cfg = R->manager().config();
   if (!Cfg.RefCounts && !Cfg.StackScan) {
-    D.WouldSucceed = true; // unsafe regions delete unconditionally
+    // Unsafe regions delete unconditionally, unless shared.
+    D.WouldSucceed = !D.Shared;
     return D;
   }
 
@@ -53,7 +55,7 @@ DeletionDiagnosis regions::diagnoseDeletion(Region *R,
   }
 
   D.WouldSucceed =
-      D.CountedRefs == 0 && D.BlockingStackSlots.empty();
+      !D.Shared && D.CountedRefs == 0 && D.BlockingStackSlots.empty();
   return D;
 }
 
@@ -66,6 +68,10 @@ void regions::printDiagnosis(const DeletionDiagnosis &D, Region *R,
                D.WouldSucceed ? "succeed" : "FAIL");
   if (D.WouldSucceed)
     return;
+  if (D.Shared)
+    std::fprintf(Out,
+                 "  shared through a ParallelSpace: deleteregion would "
+                 "abort; retire it through ParallelSpace::tryDelete\n");
   if (D.CountedRefs != 0)
     std::fprintf(Out,
                  "  %lld counted reference(s) from other regions, global "

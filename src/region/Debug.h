@@ -29,6 +29,12 @@ struct DeletionDiagnosis {
   /// Deletion would succeed (given the excluded handle, if any).
   bool WouldSucceed = false;
 
+  /// The region is shared through a par::ParallelSpace. deleteRegion
+  /// and resetRegion abort on a shared region in every configuration,
+  /// so WouldSucceed is false; it retires through
+  /// ParallelSpace::tryDelete, which weighs the threads' counts too.
+  bool Shared = false;
+
   /// Counted references (from other regions, globals, and already-
   /// scanned frames), excluding the handle when it is counted.
   long long CountedRefs = 0;

@@ -17,18 +17,21 @@ using namespace regions::par;
 namespace {
 
 /// The space and index of the calling thread's latest registration:
-/// whose refusal tally its lock-free tryDelete refusals go to. Cleared
-/// by the matching unregisterThread (or that space's destruction on
-/// this thread), so a later space at the same address, or the index's
-/// next holder, never finds a stale writer here.
-thread_local RGN_CONSTINIT const ParallelSpace *GTallySpace = nullptr;
-thread_local RGN_CONSTINIT unsigned GTallyTid = 0;
+/// whose refusal tally and record free list (ParallelSpace::IndexLine)
+/// its lock-free paths write. Cleared by the matching unregisterThread
+/// (or that space's destruction on this thread), so a later space at
+/// the same address, or the index's next holder, never finds a stale
+/// writer here.
+thread_local RGN_CONSTINIT const ParallelSpace *GOwnSpace = nullptr;
+thread_local RGN_CONSTINIT unsigned GOwnTid = 0;
 
 } // namespace
 
 ParallelSpace::~ParallelSpace() {
-  if (GTallySpace == this)
-    GTallySpace = nullptr;
+  if (GOwnSpace == this)
+    GOwnSpace = nullptr;
+  // AllRecords owns every record, pooled (on a shard or an index) or
+  // not, so one walk frees them all.
   for (Shard &Sh : Shards) {
     while (SharedRegion *S = Sh.AllRecords) {
       Sh.AllRecords = S->NextInShard;
@@ -82,10 +85,12 @@ unsigned ParallelSpace::registerThread() {
     // (SharedRegion::totalCount()).
     NextThread.store(Tid + 1, std::memory_order_relaxed);
   }
-  // Taking RegLock ordered the index's previous holder's last tally
-  // store before this thread's first load, as for the count slots.
-  GTallySpace = this;
-  GTallyTid = Tid;
+  // Taking RegLock ordered the index's previous holder's last tally and
+  // free-list stores before this thread's first load, as for the count
+  // slots.
+  GOwnSpace = this;
+  GOwnTid = Tid;
+  Indices[Tid].Holder.store(&GOwnSpace, std::memory_order_relaxed);
   return Tid;
 }
 
@@ -93,9 +98,10 @@ void ParallelSpace::unregisterThread(unsigned Tid) {
   // The slot keeps its balances. Releasing RegLock here and taking it
   // in registerThread orders this thread's last relaxed store to the
   // slot before the next holder's first load; the same goes for the
-  // index's refusal tally, which this thread stops writing here.
-  if (GTallySpace == this && GTallyTid == Tid)
-    GTallySpace = nullptr;
+  // index's refusal tally and record free list, which this thread stops
+  // writing here. The list keeps its records for that holder.
+  if (GOwnSpace == this && GOwnTid == Tid)
+    GOwnSpace = nullptr;
   std::lock_guard<std::mutex> Guard(RegLock);
   assert(Tid < NextThread.load(std::memory_order_relaxed) &&
          "unregistering a slot that was never issued");
@@ -103,40 +109,66 @@ void ParallelSpace::unregisterThread(unsigned Tid) {
              FreeTids.end() &&
          "double unregisterThread: slot is already free, a reissued "
          "thread would silently share it");
+  Indices[Tid].Holder.store(nullptr, std::memory_order_relaxed);
   FreeTids.push_back(Tid);
+}
+
+ParallelSpace::IndexLine *ParallelSpace::ownIndex() {
+  if (GOwnSpace != this)
+    return nullptr;
+  // The address of this thread's binding identifies the thread. If
+  // another thread released the index, that release (ordered before
+  // this call, as any use of a released index must be) stored another
+  // holder or none here.
+  IndexLine &Own = Indices[GOwnTid];
+  return RGN_LIKELY(Own.Holder.load(std::memory_order_relaxed) == &GOwnSpace)
+             ? &Own
+             : nullptr;
 }
 
 SharedRegion *ParallelSpace::share(Region *R) {
   assert(R && "sharing a null region");
-  // Record reuse: the shard FreePool first, then a fresh allocation.
-  // A record is born in R's shard and only ever pooled back into it, so
-  // its ShardIdx never changes after this allocation.
+  assert(!R->sharedBinding() && "share: region is already shared");
+  // Record reuse: the caller's own index list first, then R's shard
+  // FreePool, then a fresh allocation chained on R's shard.
   unsigned ShardIdx = shardOf(R);
-  Shard &Sh = Shards[ShardIdx];
-  std::lock_guard<std::mutex> Guard(Sh.Lock);
-  SharedRegion *S = Sh.FreePool;
-  if (S) {
-    Sh.FreePool = S->NextFree;
-    S->NextFree = nullptr;
-    // A retired record's sum is zero, not each slot (+1 on one thread,
-    // -1 on another). Clear only the slots that are not zero already:
-    // the rest are lines other threads' tryDelete sums keep cached,
-    // and rewriting a zero would invalidate them on every share. Every
-    // adjustment of the record's last occupancy happened before its
-    // retirement under this lock, so the issued count read here covers
-    // each index that made one.
-    for (unsigned I = 0, E = NextThread.load(std::memory_order_relaxed);
-         I != E; ++I)
-      if (S->Local[I].Count.load(std::memory_order_relaxed) != 0)
-        S->Local[I].Count.store(0, std::memory_order_relaxed);
-    S->Deleting.store(false, std::memory_order_relaxed);
+  SharedRegion *S;
+  IndexLine *Own = ownIndex();
+  if (Own && Own->FreeRecords) {
+    // This thread is the list's one writer: plain loads and stores.
+    S = Own->FreeRecords;
+    Own->FreeRecords = S->NextFree;
+    --Own->NumFree;
   } else {
-    S = new SharedRegion();
-    S->Issued = &NextThread;
-    S->ShardIdx = ShardIdx;
-    S->NextInShard = Sh.AllRecords;
-    Sh.AllRecords = S;
+    Shard &Sh = Shards[ShardIdx];
+    std::lock_guard<std::mutex> Guard(Sh.Lock);
+    S = Sh.FreePool;
+    if (S) {
+      Sh.FreePool = S->NextFree;
+    } else {
+      S = new SharedRegion();
+      S->Issued = &NextThread;
+      S->ShardIdx = ShardIdx;
+      S->NextInShard = Sh.AllRecords;
+      Sh.AllRecords = S;
+    }
   }
+  // A retired record's sum is zero, not each slot (+1 on one thread,
+  // -1 on another). Clear only the slots that are not zero already:
+  // the rest are lines other threads' tryDelete sums keep cached, and
+  // rewriting a zero would invalidate them on every share. The
+  // tryDelete that retired the record read every slot after winning
+  // its Deleting flag, and that read happens-before this one: it
+  // pooled the record on this index (on this thread, or on an earlier
+  // holder's, whose RegLock hand-over orders it) or on the shard list
+  // under the lock taken above. So each slot reads the value that
+  // tryDelete summed or a later one, and the issued count read here
+  // covers each index that adjusted the record. A fresh record reads
+  // zeros.
+  for (unsigned I = 0, E = NextThread.load(std::memory_order_relaxed);
+       I != E; ++I)
+    if (S->Local[I].Count.load(std::memory_order_relaxed) != 0)
+      S->Local[I].Count.store(0, std::memory_order_relaxed);
   S->R = R;
   S->RegionId = R->id();
   // Publish the Region → record binding resolving exchanges walk. The
@@ -144,14 +176,16 @@ SharedRegion *ParallelSpace::share(Region *R) {
   // together with this stamp knows the record still serves R. The
   // release stores here and in bindShared order the whole record setup
   // above before the record reads as live or the binding becomes
-  // visible. Gen only changes under this shard lock, so a plain load
-  // bumps it.
-  assert(!R->sharedBinding() && "share: region is already shared");
+  // visible. This thread holds the only handle to the record until it
+  // returns, so a plain load bumps Gen.
   std::uint64_t Gen = S->Gen.load(std::memory_order_relaxed) + 1;
   S->Gen.store(Gen, std::memory_order_release);
   assert(Gen % 2 == 1 && "bound records carry odd generations");
+  // Reopen deletion (a pooled record kept the flag its retirement
+  // set). Release, so whichever thread next wins the flag (acquire)
+  // sees the record as set up here.
+  S->Deleting.store(false, std::memory_order_release);
   R->bindShared(S, Gen);
-  ++Sh.LiveCount;
   rstat::traceEvent(rstat::EventKind::ShareRegion, S->RegionId, ShardIdx);
   return S;
 }
@@ -168,11 +202,10 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   // accept into a refuse, which the contract allows at any time.
   //
   // A sum that looks zero arbitrates instead. Exactly one concurrent
-  // deleter wins the Deleting flag and runs the authoritative locked
-  // recheck; losers refuse lock-free instead of stampeding the shard
-  // lock. A successful delete keeps the flag set (the record is pooled
-  // with it), so stale retries keep failing here or at the retired
-  // check above.
+  // deleter wins the Deleting flag and runs the authoritative recheck;
+  // losers refuse lock-free. A successful delete keeps the flag set
+  // (the record is pooled with it), so stale retries keep failing here
+  // or at the retired check above.
   bool Expected = false;
   if (S->totalCount() != 0 ||
       !S->Deleting.compare_exchange_strong(Expected, true,
@@ -180,22 +213,21 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
                                            std::memory_order_relaxed)) {
     countLockFreeRefusal();
     rstat::traceEvent(rstat::EventKind::TryDeleteRefused, S->RegionId,
-                      /*LockFree=*/1);
+                      /*BeforeFlag=*/1);
     return false;
   }
-  // The record's shard, not R's: ShardIdx is fixed at allocation,
-  // while a racing winner nulls S->R through deleteRegionRaw.
-  Shard &Sh = Shards[S->ShardIdx];
-  std::lock_guard<std::mutex> Guard(Sh.Lock);
-  // Authoritative recheck under the shard lock, same condition the
-  // single-mutex design enforced: the summed local counts must agree,
-  // and the owning manager has the last word (counted references from
-  // its own heap, live stack locals). A refusal leaves the record live
-  // so a later attempt can succeed.
+  // Winning the flag makes this call the record's only writer: no other
+  // deleter passes the CAS until the flag is cleared below, and share()
+  // reuses the record only once this call has pooled it. So the rest
+  // takes no shard lock. Authoritative recheck, ordered after the CAS
+  // by its acquire: the summed local counts must agree, and the owning
+  // manager has the last word (counted references from its own heap,
+  // live stack locals). A refusal leaves the record live so a later
+  // attempt can succeed.
   if (S->totalCount() != 0) {
     S->Deleting.store(false, std::memory_order_release);
     rstat::traceEvent(rstat::EventKind::TryDeleteRefused, S->RegionId,
-                      /*LockFree=*/0);
+                      /*BeforeFlag=*/0);
     return false;
   }
   // The sum is authoritatively zero: no displaced-but-undropped
@@ -203,8 +235,8 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
   // can legitimately be mid-walk through R's binding. Retire the
   // binding *before* the destructive step — deleteRegionRaw recycles
   // R's pages, and the binding must never be readable from recycled
-  // memory — and restore it on a manager veto, under this same shard
-  // lock, so the region's shared identity survives a refusal.
+  // memory — and restore it on a manager veto, while this call still
+  // holds the flag, so the region's shared identity survives a refusal.
   Region *R = S->R;
   RegionManager &Mgr = R->manager();
   std::uint64_t BindGen = R->sharedBindingGen();
@@ -220,7 +252,7 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
     Destroyed = Mgr.deleteRegionRaw(S->R);
     if (Destroyed)
       rstat::traceEvent(rstat::EventKind::TryDeleteHandoff, S->RegionId,
-                        static_cast<std::uint32_t>(&Sh - Shards));
+                        S->ShardIdx);
   } else {
     Destroyed = Mgr.deleteRegionRaw(S->R);
   }
@@ -228,38 +260,49 @@ bool ParallelSpace::tryDelete(SharedRegion *S) {
     R->bindShared(S, BindGen);
     S->Deleting.store(false, std::memory_order_release);
     rstat::traceEvent(rstat::EventKind::TryDeleteRefused, S->RegionId,
-                      /*LockFree=*/0);
+                      /*BeforeFlag=*/0);
     return false;
   }
   // Retire the record: the generation moves even, so stale tryDelete
   // calls stop at the retired check, and any (record, generation) pair
   // a racing resolver tore off a stale region binding fails its check
-  // instead of naming this record. Still under the shard lock, so a
-  // plain load bumps it; the release pairs with retired()'s acquire.
+  // instead of naming this record. The flag makes this call Gen's one
+  // writer, so a plain load bumps it; the release pairs with
+  // retired()'s acquire.
   S->Gen.store(S->Gen.load(std::memory_order_relaxed) + 1,
                std::memory_order_release);
-  // Pool the record. Under RGN_HARDEN it is never reused (it stays on
-  // the shard's chain until the space dies): a stale handle then always
-  // finds it retired (see rsanCheckLive) rather than the record's next
-  // occupant.
-  --Sh.LiveCount;
-  if constexpr (!detail::kRsanEnabled) {
-    S->NextFree = Sh.FreePool;
-    Sh.FreePool = S;
-  }
   rstat::traceEvent(rstat::EventKind::TryDeleteOk, S->RegionId,
-                    static_cast<std::uint32_t>(&Sh - Shards));
+                    S->ShardIdx);
+  // Pool the record: on the caller's own index when it holds one here
+  // and the list has room (plain stores, no lock), else on the shard
+  // that allocated it, under that shard's lock. Under RGN_HARDEN it is
+  // never reused (it stays on its shard's chain until the space dies):
+  // a stale handle then always finds it retired (see rsanCheckLive)
+  // rather than the record's next occupant.
+  if constexpr (!detail::kRsanEnabled) {
+    IndexLine *Own = ownIndex();
+    if (Own && Own->NumFree != kIndexPoolRecords) {
+      S->NextFree = Own->FreeRecords;
+      Own->FreeRecords = S;
+      ++Own->NumFree;
+    } else {
+      Shard &Sh = Shards[S->ShardIdx];
+      std::lock_guard<std::mutex> Guard(Sh.Lock);
+      S->NextFree = Sh.FreePool;
+      Sh.FreePool = S;
+    }
+  }
   return true;
 }
 
 void ParallelSpace::countLockFreeRefusal() {
-  if (RGN_LIKELY(GTallySpace == this)) {
-    // This thread holds index GTallyTid here and is its tally's only
-    // writer, so no increment can fall between the load and the store.
-    std::atomic<std::uint64_t> &N = Refusals[GTallyTid].N;
+  if (IndexLine *Own = ownIndex()) {
+    // This thread holds the index here and is its tally's only writer,
+    // so no increment can fall between the load and the store.
+    std::atomic<std::uint64_t> &N = Own->Refusals;
     N.store(N.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   } else {
-    FallbackRefusals.N.fetch_add(1, std::memory_order_relaxed);
+    FallbackRefusals.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -280,6 +323,16 @@ void ParallelSpace::quiesce(RegionManager &Mgr) {
   // to any deleter that later finds the entry under the same lock.
   rstat::traceEvent(rstat::EventKind::ManagerQuiesced,
                     Mgr.liveRegionCount());
+}
+
+std::size_t ParallelSpace::liveSharedRegions() const {
+  std::size_t N = 0;
+  for (const Shard &Sh : Shards) {
+    std::lock_guard<std::mutex> Guard(Sh.Lock);
+    for (const SharedRegion *S = Sh.AllRecords; S; S = S->NextInShard)
+      N += S->generation() % 2;
+  }
+  return N;
 }
 
 bool ParallelSpace::managerQuiesced(const RegionManager &Mgr) const {

@@ -25,37 +25,45 @@
 /// thread created); only the sum matters.
 ///
 /// The synchronization the paper confines to creation and deletion is
-/// *sharded*: every SharedRegion hashes (by the creating region's
-/// address) onto one of kNumShards cache-line-padded shards, each with
-/// its own lock, live-record count, and pooled-record free list.
-/// share()/tryDelete() on regions in distinct shards never touch the
-/// same lock or lines, so a server workload cycling one region per
-/// request scales with threads instead of convoying on one mutex.
-/// Only thread-slot issuance (registerThread/unregisterThread) remains
-/// a small global critical section; the number of indices it has issued
-/// is published through an atomic, so sums and share() read only the
-/// issued prefix of each record's count array without taking it.
+/// narrowed to what still needs it. A thread registered with the space
+/// creates and retires shared regions without a lock: tryDelete puts a
+/// retired SharedRegion record on a free list owned by the retiring
+/// thread's index, and that index's next share() pops it with plain
+/// loads and stores. The list has one writer, the thread holding the
+/// index, and RegLock hands it from one holder to the next, exactly as
+/// it hands over the index's count slots and refusal tally. The rest is
+/// *sharded*: every record is allocated in, and owned until the space
+/// dies by, one of kNumShards cache-line-padded shards (chosen by the
+/// creating region's address), and a shard's lock is taken only to
+/// allocate a record or to pool and unpool through the shard's free
+/// list, for a caller that holds no index here or whose own list is
+/// empty (share) or full (tryDelete). Only thread-slot issuance
+/// (registerThread/unregisterThread) is a global critical section; the
+/// number of indices it has issued is published through an atomic, so
+/// sums and share() read only the issued prefix of each record's count
+/// array without taking it.
 ///
 /// tryDelete() is optimistic: it takes a lock-free relaxed sum first,
 /// and refuses without any lock when the sum is visibly non-zero —
 /// polling "is it dead yet" costs reads plus one plain store to the
-/// caller's own refusal tally, no locked instruction. Concurrent
-/// deleters of the same region are arbitrated by a per-record Deleting
-/// CAS flag, so losers refuse lock-free instead of stampeding the shard
-/// lock; only a zero-looking sum takes the shard lock for the
-/// authoritative recheck, where the owning manager still has the last
-/// word. The accept/refuse semantics are unchanged: refusing is always
-/// conservative-safe, and a zero sum is rechecked under the lock before
-/// anything is freed.
+/// caller's own refusal tally, no locked instruction. A zero-looking
+/// sum arbitrates through a per-record Deleting CAS, kept off the line
+/// that sums and resolvers read: losers refuse lock-free, and the
+/// winner is the record's only writer until it clears the flag or
+/// pools the record, so it rechecks the sum and retires the record
+/// with no shard lock, after the owning manager (which has the last
+/// word) agrees. The accept/refuse semantics are unchanged: refusing is
+/// always conservative-safe, and a zero sum is rechecked after the CAS
+/// before anything is freed.
 ///
 /// Every SharedRegion holds one count slot per possible thread index
 /// (kMaxThreads, inline), so every index has its own slot in every
 /// record, whenever it was issued. A slot belongs to its index, not to
 /// one thread: unregisterThread() leaves the exiting thread's balances
 /// where they are, and the index's next holder adds to them. Deletion
-/// reads only sums, so nothing has to move. SharedRegion records are
-/// pooled per shard: tryDelete returns the record to its shard's free
-/// list and the shard's next share() reuses it.
+/// reads only sums, so nothing has to move. A pooled record's next
+/// share() may serve a region of any shard; under RGN_HARDEN records
+/// are never pooled, so a stale handle stays detectable.
 ///
 /// The shared-slot write is *self-resolving*: the paper requires the
 /// atomic exchange precisely so the process knows which reference was
@@ -106,6 +114,14 @@ inline constexpr unsigned kMaxThreads = 32;
 /// high probability while the per-space footprint stays at eight
 /// cache-line-padded entries.
 inline constexpr unsigned kNumShards = 8;
+
+/// Retired records one thread index keeps for its own next share()
+/// calls. A thread that retires more than it shares (a consumer
+/// deleting what a producer shares) pools the excess by shard, where
+/// the sharing threads' locked path finds it, so the records a space
+/// allocates stay bounded by its peak live count plus this many per
+/// index. 64 covers the bench/e2e pipeline's 64 messages in flight.
+inline constexpr unsigned kIndexPoolRecords = 64;
 
 /// A region shared between threads, with per-thread local counts.
 class SharedRegion {
@@ -170,29 +186,38 @@ private:
   /// One slot per possible index: 2 KiB of malloc'd memory per record
   /// (kMaxThreads lines), outside the region arena.
   PaddedCount Local[kMaxThreads];
+  // The readers' line: Issued and Gen are what every sum, resolver and
+  // stale-tryDelete check loads, so nothing written per deletion
+  // attempt lives here.
   Region *R = nullptr;
   /// The owning space's issued-index count (ParallelSpace::NextThread):
   /// how much of Local sums and share() read. Set once at allocation.
   const std::atomic<unsigned> *Issued = nullptr;
   unsigned RegionId = 0;  ///< cached R->id(): traceable after R dies
-  /// The shard that allocated this record and pools it. Set once, under
-  /// that shard's lock, before the record is first published; records
-  /// never change shard, so tryDelete finds its lock without reading R.
+  /// The shard that allocated this record and owns it (AllRecords).
+  /// Set once, under that shard's lock, before the record is first
+  /// published. A caller with no index of its own pools the record back
+  /// into this shard, so tryDelete finds the lock without reading R.
   unsigned ShardIdx = 0;
   SharedRegion *NextFree = nullptr; ///< free-list link while pooled
-  /// Chains every record one shard ever allocated, for the destructor.
+  /// Chains every record one shard ever allocated, for the destructor
+  /// and liveSharedRegions().
   SharedRegion *NextInShard = nullptr;
-  /// Deletion arbitration: the CAS winner owns the authoritative
-  /// locked recheck; losers refuse lock-free instead of queueing on
-  /// the shard lock. Left set by a successful delete (the record is
-  /// pooled with it) and cleared on refusal or reuse.
-  std::atomic<bool> Deleting{false};
   /// Occupancy stamp; see generation(). Even means retired (or never
   /// bound), so stale tryDelete calls check it first (acquire) and
-  /// return cheaply. Written only under the shard lock (share(),
-  /// tryDelete's retire step), so a plain load and a release store bump
-  /// it; resolvers read it lock-free, hence the atomic.
+  /// return cheaply. One writer at a time: share() while it binds a
+  /// record that only it holds (popped from a free list or freshly
+  /// allocated), and tryDelete's retire step, which runs only after
+  /// winning Deleting. So a plain load and a release store bump it;
+  /// resolvers read it lock-free, hence the atomic.
   std::atomic<std::uint64_t> Gen{0};
+  /// Deletion arbitration, on a line of its own: the CAS winner is the
+  /// record's only writer and runs the authoritative recheck and the
+  /// retire step; losers refuse lock-free. Apart from Gen and Issued,
+  /// so the CAS takes no line another core keeps reading. Left set by
+  /// a successful delete (the record is pooled with it) and cleared on
+  /// refusal or reuse.
+  alignas(64) std::atomic<bool> Deleting{false};
 
   bool retired() const {
     return Gen.load(std::memory_order_acquire) % 2 == 0;
@@ -256,24 +281,27 @@ public:
   /// one remaining global critical section (slot issuance must be
   /// unique across shards); it is short and off every per-region path.
   /// The calling thread also becomes the writer of that index's refusal
-  /// tally (its latest registration, in whichever space, is the one it
-  /// tallies under), so register and release an index on the thread
-  /// that uses it, as ThreadSlot does.
+  /// tally and record free list (its latest registration, in whichever
+  /// space, is the one it tallies and pools under), so register and
+  /// release an index on the thread that uses it, as ThreadSlot does.
   unsigned registerThread();
 
   /// Releases thread slot \p Tid for reuse by a later registerThread.
   /// Touches no shared record: the thread's balances stay in slot
   /// \p Tid, where the index's next holder adds to them, so every sum
-  /// is unchanged. RegLock orders this thread's last adjustment before
-  /// the next holder's first. The thread must make no further
-  /// adjustments under this index; releasing an index twice is a
-  /// debug-checked error (it would let two live threads share one
+  /// is unchanged, and the index's pooled records wait for that holder
+  /// too. RegLock orders this thread's last adjustment (and list or
+  /// tally store) before the next holder's first. The thread must make
+  /// no further adjustments under this index; releasing an index twice
+  /// is a debug-checked error (it would let two live threads share one
   /// slot). Prefer the ThreadSlot RAII wrapper.
   void unregisterThread(unsigned Tid);
 
   /// Wraps a region created by the calling thread's manager as shared.
-  /// Creation synchronizes on the region's shard lock only (paper's
-  /// requirement, narrowed). The creating handle is not counted: like
+  /// A registered caller reuses a record from its own index's free list
+  /// with no lock; otherwise creation synchronizes on the region's shard
+  /// lock only (paper's requirement, narrowed), to pop that shard's
+  /// free list or allocate. The creating handle is not counted: like
   /// deleteregion's *x, the creator transfers its reference into the
   /// space. Publishes the Region → record binding (with a fresh
   /// generation stamp) that resolveSharedRegion() walks, so from the
@@ -316,16 +344,17 @@ public:
 
   /// Attempts to delete the shared region with the optimistic
   /// protocol — a lock-free relaxed sum that refuses immediately when
-  /// visibly non-zero, a Deleting CAS that turns concurrent
-  /// same-region deleters away lock-free, and only then the shard lock
-  /// for the authoritative recheck, where the owning manager agrees no
-  /// other counted or stack reference survives before the region is
-  /// destroyed. On failure nothing changes and a later attempt may succeed. The
-  /// caller must guarantee the owning manager is quiescent: either the
-  /// calling thread owns it, or it was handed off via quiesce() — in
-  /// which case the destructive step runs under that manager's
-  /// hand-off lock so concurrent non-owner deleters never race inside
-  /// the (thread-unsafe) manager.
+  /// visibly non-zero, a Deleting CAS that turns concurrent same-region
+  /// deleters away lock-free, and then, for the CAS winner alone, the
+  /// authoritative recheck, where the owning manager agrees no other
+  /// counted or stack reference survives before the region is
+  /// destroyed. A registered winner pools the record on its own index
+  /// with no lock. On failure nothing changes and a later attempt may
+  /// succeed. The caller must guarantee the owning manager is
+  /// quiescent: either the calling thread owns it, or it was handed off
+  /// via quiesce() — in which case the destructive step runs under that
+  /// manager's hand-off lock so concurrent non-owner deleters never
+  /// race inside the (thread-unsafe) manager.
   bool tryDelete(SharedRegion *S);
 
   /// Declares \p Mgr permanently quiescent: the owning thread promises
@@ -340,32 +369,29 @@ public:
   /// Whether \p Mgr has been quiesced into this space (diagnostics).
   bool managerQuiesced(const RegionManager &Mgr) const;
 
-  /// Number of shared regions not yet deleted (diagnostics). Takes each
-  /// shard's lock in turn, so it is exact whenever the space is
-  /// quiescent and a snapshot otherwise.
-  std::size_t liveSharedRegions() const {
-    std::size_t N = 0;
-    for (const Shard &Sh : Shards) {
-      std::lock_guard<std::mutex> Guard(Sh.Lock);
-      N += Sh.LiveCount;
-    }
-    return N;
-  }
+  /// Number of shared regions not yet deleted (diagnostics): the
+  /// records with an odd generation on every shard's chain, each shard
+  /// walked under its lock. Exact whenever the space is quiescent, a
+  /// snapshot otherwise.
+  std::size_t liveSharedRegions() const;
 
-  /// tryDelete refusals that never touched a shard lock (the visibly
-  /// non-zero sum and lost-CAS paths). Diagnostics/tests: proves the
-  /// polling path stays lock-free. The sum of one tally per thread
-  /// index plus the fallback tally of callers that hold no index here;
-  /// relaxed reads, so exact once the refusing threads' work
-  /// happens-before the call (join, or a message), like totalCount().
+  /// tryDelete refusals made before winning the Deleting flag (the
+  /// visibly non-zero sum and lost-CAS paths). Diagnostics/tests: proves
+  /// the polling path stays free of locked instructions. The sum of one
+  /// tally per thread index plus the fallback tally of callers that hold
+  /// no index here; relaxed reads, so exact once the refusing threads'
+  /// work happens-before the call (join, or a message), like
+  /// totalCount().
   std::uint64_t lockFreeRefusals() const {
-    std::uint64_t N = FallbackRefusals.N.load(std::memory_order_relaxed);
-    for (const RefusalTally &T : Refusals)
-      N += T.N.load(std::memory_order_relaxed);
+    std::uint64_t N = FallbackRefusals.load(std::memory_order_relaxed);
+    for (const IndexLine &I : Indices)
+      N += I.Refusals.load(std::memory_order_relaxed);
     return N;
   }
 
-  /// Which shard \p R's SharedRegion record lives in (diagnostics).
+  /// The shard share(\p R) locks when it cannot reuse a record from
+  /// the caller's own index: whose free list it pops and which chain a
+  /// new record joins (diagnostics, tests).
   static unsigned shardOf(const Region *R) {
     // Regions sit in their own first page, so the page number is the
     // identity; a Fibonacci multiply spreads consecutive pages (one
@@ -377,28 +403,44 @@ public:
   }
 
 private:
-  /// One synchronization domain: lock, live count and pooled records,
-  /// all written under the lock. Padded so neighbouring shards' locks
-  /// never false-share; with no lock-free counter in it, a shard fits
-  /// one line wherever the mutex leaves room.
+  /// One synchronization domain for what a thread index cannot do on
+  /// its own: allocating a record, and pooling or unpooling for a
+  /// caller with no index here (or an empty or full index list). Both
+  /// fields are written under the lock. Padded so neighbouring shards'
+  /// locks never false-share; a shard fits one line wherever the mutex
+  /// leaves room.
   struct alignas(64) Shard {
     mutable std::mutex Lock;
-    SharedRegion *FreePool = nullptr;   ///< deleted records for reuse
+    SharedRegion *FreePool = nullptr;   ///< retired records for reuse
     SharedRegion *AllRecords = nullptr; ///< every record, via NextInShard
-    std::size_t LiveCount = 0;          ///< records serving a region
   };
-  static_assert(sizeof(std::mutex) + 3 * sizeof(void *) > 64 ||
+  static_assert(sizeof(std::mutex) + 2 * sizeof(void *) > 64 ||
                     sizeof(Shard) == 64,
                 "a shard must fit one cache line");
 
-  /// A lock-free refusal counter on its own line. Refusals[Tid] has one
-  /// writer, the thread holding index Tid, so it is bumped with a
-  /// relaxed load and store (see countLockFreeRefusal()); like a count
-  /// slot it belongs to the index, and RegLock hands it from one holder
-  /// to the next.
-  struct alignas(64) RefusalTally {
-    std::atomic<std::uint64_t> N{0};
+  /// What one thread index owns in this space, on a line of its own:
+  /// its lock-free refusal tally and its free list of retired records.
+  /// Indices[Tid] has one writer, the thread holding index Tid, so the
+  /// tally is bumped with a relaxed load and store (see
+  /// countLockFreeRefusal()) and the list is pushed and popped with
+  /// plain ones. Like a count slot it belongs to the index, and RegLock
+  /// hands it from one holder to the next. The list needs no flush or
+  /// drain: every record on it stays chained on its shard's AllRecords.
+  struct alignas(64) IndexLine {
+    std::atomic<std::uint64_t> Refusals{0};
+    SharedRegion *FreeRecords = nullptr; ///< via NextFree
+    unsigned NumFree = 0; ///< length of FreeRecords, <= kIndexPoolRecords
+    /// The holding thread's identity, set by registerThread and cleared
+    /// by unregisterThread, both under RegLock. A thread whose index
+    /// another thread released still names the index in its
+    /// thread-local binding; finding another holder here (or none)
+    /// sends it to the fallback paths instead of onto this line.
+    std::atomic<const void *> Holder{nullptr};
   };
+
+  /// The calling thread's line when its latest registration is in this
+  /// space and still holds that index, else null.
+  IndexLine *ownIndex();
 
   /// One permanently-quiesced manager (see quiesce()). Non-owner
   /// deleters serialize the destructive deleteRegionRaw through Lock.
@@ -447,17 +489,17 @@ private:
   void countLockFreeRefusal();
 
   Shard Shards[kNumShards];
-  RefusalTally Refusals[kMaxThreads];
+  IndexLine Indices[kMaxThreads];
   /// Refusals by threads holding no index in this space (or whose
   /// latest registration was in another space): many writers, so it
-  /// keeps the atomic add.
-  RefusalTally FallbackRefusals;
+  /// keeps the atomic add, on a line of its own.
+  alignas(64) std::atomic<std::uint64_t> FallbackRefusals{0};
 
   // Quiesced-manager registry (cross-thread deletion hand-off). The
   // head is atomic so tryDelete can skip the lock entirely in spaces
   // where nothing ever quiesced; mutations still serialize on
   // QuiesceLock.
-  mutable std::mutex QuiesceLock;
+  alignas(64) mutable std::mutex QuiesceLock;
   std::atomic<QuiescedManager *> QuiescedHead{nullptr};
 
   // Thread-slot issuance: the one global critical section left.

@@ -249,7 +249,7 @@ public:
 
   /// \name Region → SharedRegion binding (parallel extension)
   /// The inverse of SharedRegion::region(): par::ParallelSpace::share()
-  /// publishes the record here (under the region's shard lock) so a
+  /// publishes the record here (while it holds the only handle) so a
   /// displaced pointer can be resolved page-map-first — regionOf(ptr)
   /// then sharedBinding() — to the record whose count it holds, instead
   /// of trusting a caller's pre-exchange guess. tryDelete() retires the

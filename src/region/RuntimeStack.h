@@ -203,7 +203,21 @@ private:
 /// needs no thread-safe initialization guard.
 extern thread_local RGN_CONSTINIT RuntimeStack GThreadStack;
 
-inline RuntimeStack &RuntimeStack::current() { return GThreadStack; }
+inline RuntimeStack &RuntimeStack::current() {
+#if RGN_UBSAN
+  // GCC 12 miscompiles UBSan's null check of this TLS address: its
+  // `je` tests flags that no instruction set for it (under ASan, those
+  // of the shadow compare just before), so the check fires on a valid
+  // address. Through an empty asm the address is an opaque value, which
+  // gets a real test. Only UBSan builds define RGN_UBSAN (CMakeLists),
+  // so other builds' code is unchanged.
+  RuntimeStack *P = &GThreadStack;
+  asm("" : "+r"(P));
+  return *P;
+#else
+  return GThreadStack;
+#endif
+}
 
 /// RAII shadow-stack frame. Declare one at the top of any function that
 /// keeps region pointers in locals (before any rt::Ref local).

@@ -57,7 +57,7 @@ enum class EventKind : std::uint8_t {
   QuarantineEvict,  ///< A = first page index, B = run length in pages
   ShareRegion,      ///< A = region id, B = shard index
   TryDeleteOk,      ///< A = region id, B = shard index
-  TryDeleteRefused, ///< A = region id, B = 1 lock-free, 0 under lock
+  TryDeleteRefused, ///< A = region id, B = 1 before the Deleting CAS, 0 after
   ResolveStale,     ///< A = region id, B = record generation observed
   ManagerQuiesced,  ///< A = manager's live region count at quiesce
   TryDeleteHandoff, ///< A = region id, B = shard index

@@ -125,14 +125,16 @@ MudlleResult runLcc(M &Mem, const LccOptions &Opt) {
   }
   Result.Ok = true;
   for (unsigned R = 0; R != Opt.Repeats; ++R) {
-    std::int64_t Sum = 0;
+    // A checksum that may wrap: accumulate unsigned (defined modulo
+    // 2^64) and convert once, which gives the two's-complement value.
+    std::uint64_t Sum = 0;
     for (const std::string &Chunk : Chunks) {
       if (!compileOnce(Mem, Chunk.c_str(), Result, /*Run=*/true))
         Result.Ok = false;
-      Sum += Result.ProgramValue;
+      Sum += static_cast<std::uint64_t>(Result.ProgramValue);
       ++Result.Compiles;
     }
-    Result.ProgramValue = Sum;
+    Result.ProgramValue = static_cast<std::int64_t>(Sum);
   }
   return Result;
 }

@@ -10,6 +10,7 @@
 
 #include "region/Debug.h"
 #include "region/Metrics.h"
+#include "region/Parallel.h"
 #include "region/Regions.h"
 #include "region/StdAllocator.h"
 
@@ -117,6 +118,33 @@ TEST_F(DebugToolsTest, AnonymousDiagnosisCountsHandle) {
                                /*HandleCounted=*/true)
                   .WouldSucceed);
   EXPECT_TRUE(deleteRegion(Handle));
+}
+
+TEST_F(DebugToolsTest, SharedRegionWouldNotSucceed) {
+  // deleteRegion and resetRegion abort on a shared region in every
+  // configuration, however clean it is; the diagnosis must say so and
+  // point at tryDelete, and clear once tryDelete has retired it.
+  RegionManager Unsafe{SafetyConfig::unsafeConfig(), std::size_t{16} << 20};
+  par::ParallelSpace Space;
+  for (RegionManager *M : {&Mgr, &Unsafe}) {
+    Region *R = M->newRegion();
+    EXPECT_FALSE(diagnoseDeletion(R).Shared);
+    par::SharedRegion *S = Space.share(R);
+    DeletionDiagnosis D = diagnoseDeletion(R);
+    EXPECT_TRUE(D.Shared);
+    EXPECT_FALSE(D.WouldSucceed) << "deleteRegion would abort";
+    EXPECT_EQ(D.CountedRefs, 0);
+    char *Buf = nullptr;
+    std::size_t Len = 0;
+    std::FILE *Mem = open_memstream(&Buf, &Len);
+    printDiagnosis(D, R, Mem);
+    std::fclose(Mem);
+    std::string Out(Buf, Len);
+    free(Buf);
+    EXPECT_NE(Out.find("FAIL"), std::string::npos);
+    EXPECT_NE(Out.find("ParallelSpace::tryDelete"), std::string::npos);
+    EXPECT_TRUE(Space.tryDelete(S));
+  }
 }
 
 TEST_F(DebugToolsTest, PrintFunctionsProduceOutput) {

@@ -23,6 +23,13 @@ using namespace regions::par;
 
 namespace {
 
+/// A node whose cross-region pointer the owning manager counts.
+struct Node {
+  explicit Node(int V = 0) : Value(V) {}
+  int Value;
+  RegionPtr<Node> Next;
+};
+
 struct ParallelTest : ::testing::Test {
   ParallelSpace Space;
 };
@@ -335,7 +342,7 @@ TEST_F(ParallelTest, VisiblyNonZeroCountRefusesLockFree) {
   Space.dropRef(S, Tid);
   EXPECT_TRUE(Space.tryDelete(S));
   EXPECT_EQ(Space.lockFreeRefusals(), 2u)
-      << "a successful delete takes the locked path, not the counter";
+      << "a successful delete wins the Deleting flag, not the counter";
 }
 
 /// Calls tryDelete on the pinned \p S \p N times; returns how many
@@ -615,13 +622,13 @@ TEST_F(ParallelTest, EveryIndexCountsOnARecordSharedBeforeRegistration) {
 
 #if !RGN_HARDEN_ENABLED
 TEST_F(ParallelTest, RetiredRecordsStayInTheirShard) {
-  // A retired record is pooled in the shard that allocated it and only
+  // For a caller that holds no index in the space (the fallback path),
+  // a retired record is pooled in the shard that allocated it and only
   // that shard's next share() reuses it: its shard index is fixed, so
   // tryDelete can find the lock without reading the record's region.
   // A region hashing to another shard must get a different record.
   // (Hardened builds never pool records at all.)
   RegionManager Mgr{SafetyConfig::unsafeConfig()};
-  unsigned Tid = Space.registerThread();
   Region *R = Mgr.newRegion();
   unsigned Home = ParallelSpace::shardOf(R);
   SharedRegion *First = Space.share(R);
@@ -648,7 +655,166 @@ TEST_F(ParallelTest, RetiredRecordsStayInTheirShard) {
   for (Region *C : Kept)
     if (C != Other && C != Same)
       Mgr.deleteRegionRaw(C);
+}
+
+/// A new region of \p Mgr that hashes onto shard \p Shard when \p On,
+/// or onto any other shard when not; the live regions tried on the way
+/// are appended to \p Kept.
+Region *regionByShard(RegionManager &Mgr, unsigned Shard, bool On,
+                      std::vector<Region *> &Kept) {
+  for (;;) {
+    Region *C = Mgr.newRegion();
+    if ((ParallelSpace::shardOf(C) == Shard) == On)
+      return C;
+    Kept.push_back(C);
+  }
+}
+
+TEST_F(ParallelTest, RetiredRecordFollowsItsIndex) {
+  // A registered thread pools what it retires on its own index, with no
+  // lock, and its next share() reuses that record even for a region of
+  // another shard. The list belongs to the index: after the retiring
+  // thread unregisters, the index's next holder reuses the record, and
+  // finds every slot zero although the last occupancy ended at +1 and
+  // -1 on two slots.
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  std::vector<Region *> Kept;
+  unsigned Peer = Space.registerThread(); // a second slot to unbalance
+  SharedRegion *First = nullptr;
+  unsigned Holder = 0, Home = 0;
+  std::thread([&] {
+    Holder = Space.registerThread();
+    Region *R = Mgr.newRegion();
+    Home = ParallelSpace::shardOf(R);
+    SharedRegion *S = Space.share(R);
+    ASSERT_TRUE(Space.tryDelete(S));
+    First = Space.share(regionByShard(Mgr, Home, /*On=*/false, Kept));
+    EXPECT_EQ(First, S) << "the retired record comes back to its index";
+    // The main thread, Peer's holder, is blocked in join().
+    Space.addRef(First, Holder);
+    Space.dropRef(First, Peer);
+    ASSERT_TRUE(Space.tryDelete(First));
+    Space.unregisterThread(Holder);
+  }).join();
+  ASSERT_NE(First, nullptr);
+  EXPECT_EQ(First->localCount(Holder), 1);
+  EXPECT_EQ(First->localCount(Peer), -1);
+  std::thread([&] {
+    unsigned Next = Space.registerThread();
+    EXPECT_EQ(Next, Holder) << "the index is reissued";
+    SharedRegion *S =
+        Space.share(regionByShard(Mgr, Home, /*On=*/false, Kept));
+    EXPECT_EQ(S, First) << "the index's next holder reuses its records";
+    for (unsigned I = 0; I != kMaxThreads; ++I)
+      EXPECT_EQ(S->localCount(I), 0) << "slot " << I;
+    EXPECT_TRUE(Space.tryDelete(S));
+    Space.unregisterThread(Next);
+  }).join();
+  Space.unregisterThread(Peer);
+  for (Region *C : Kept)
+    Mgr.deleteRegionRaw(C);
+}
+
+TEST_F(ParallelTest, ReleasedIndexStopsPoolingForItsFormerHolder) {
+  // unregisterThread may release another thread's index. Once that
+  // release is ordered before the former holder's next call, the former
+  // holder pools by shard: the index's list belongs to its next holder
+  // alone, who must not find the former holder's records there.
+  RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  std::atomic<int> Step{0};
+  unsigned Tid = 0, Home = 0;
+  SharedRegion *Retired = nullptr;
+  std::thread Former([&] {
+    Tid = Space.registerThread();
+    Step.store(1, std::memory_order_release);
+    while (Step.load(std::memory_order_acquire) != 2)
+      std::this_thread::yield();
+    Region *R = Mgr.newRegion();
+    Home = ParallelSpace::shardOf(R);
+    Retired = Space.share(R);
+    EXPECT_TRUE(Space.tryDelete(Retired));
+  });
+  while (Step.load(std::memory_order_acquire) != 1)
+    std::this_thread::yield();
   Space.unregisterThread(Tid);
+  Step.store(2, std::memory_order_release);
+  Former.join();
+  ASSERT_NE(Retired, nullptr);
+
+  std::vector<Region *> Kept;
+  std::thread([&] {
+    unsigned Next = Space.registerThread();
+    EXPECT_EQ(Next, Tid) << "the index is reissued";
+    SharedRegion *S =
+        Space.share(regionByShard(Mgr, Home, /*On=*/false, Kept));
+    EXPECT_NE(S, Retired) << "the former holder pooled on the index";
+    EXPECT_TRUE(Space.tryDelete(S));
+    Space.unregisterThread(Next);
+  }).join();
+  SharedRegion *S = Space.share(regionByShard(Mgr, Home, /*On=*/true, Kept));
+  EXPECT_EQ(S, Retired) << "the former holder's record is on its shard";
+  EXPECT_TRUE(Space.tryDelete(S));
+  for (Region *C : Kept)
+    Mgr.deleteRegionRaw(C);
+}
+
+TEST_F(ParallelTest, IndexListPastItsCapPoolsByShard) {
+  // An index keeps at most kIndexPoolRecords retired records; the next
+  // one goes to the shard that allocated it, where a caller with no
+  // index finds it. A thread that only retires thus leaves records for
+  // the threads that share.
+  RegionManager Mgr{SafetyConfig::unsafeConfig(), std::size_t{64} << 20};
+  unsigned Tid = Space.registerThread();
+  std::vector<SharedRegion *> Shared;
+  for (unsigned I = 0; I != kIndexPoolRecords + 1; ++I)
+    Shared.push_back(Space.share(Mgr.newRegion()));
+  unsigned LastHome = ParallelSpace::shardOf(Shared.back()->region());
+  for (SharedRegion *S : Shared)
+    ASSERT_TRUE(Space.tryDelete(S));
+  Space.unregisterThread(Tid); // from here on the fallback path
+  std::vector<Region *> Kept;
+  SharedRegion *S =
+      Space.share(regionByShard(Mgr, LastHome, /*On=*/true, Kept));
+  EXPECT_EQ(S, Shared.back()) << "the record past the cap is on its shard";
+  EXPECT_TRUE(Space.tryDelete(S));
+  for (Region *C : Kept)
+    Mgr.deleteRegionRaw(C);
+}
+
+TEST_F(ParallelTest, LiveSharedRegionsCountsBoundGenerations) {
+  // liveSharedRegions() counts the records with an odd generation on
+  // each shard's chain; there is no second counter to drift. It must
+  // stay exact across index pooling, shard pooling (a caller with no
+  // index) and a manager veto of a zero-sum delete.
+  RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{64} << 20};
+  EXPECT_EQ(Space.liveSharedRegions(), 0u);
+  unsigned Tid = Space.registerThread();
+  SharedRegion *A = Space.share(Mgr.newRegion());
+  SharedRegion *B = Space.share(Mgr.newRegion());
+  EXPECT_EQ(Space.liveSharedRegions(), 2u);
+  ASSERT_TRUE(Space.tryDelete(A)); // pooled on the index
+  EXPECT_EQ(Space.liveSharedRegions(), 1u);
+  SharedRegion *C = Space.share(Mgr.newRegion());
+  EXPECT_EQ(C, A) << "reused from the index";
+  EXPECT_EQ(Space.liveSharedRegions(), 2u);
+
+  // A counted store from C's region into B's: the sums are zero, but
+  // B's manager vetoes, and the record stays live.
+  Node *Holder = rnew<Node>(C->region(), 0);
+  Holder->Next = rnew<Node>(B->region(), 1);
+  EXPECT_EQ(B->totalCount(), 0);
+  EXPECT_FALSE(Space.tryDelete(B)) << "the manager's count vetoes";
+  EXPECT_EQ(Space.liveSharedRegions(), 2u) << "a veto keeps the record";
+  Holder->Next = nullptr;
+  Space.unregisterThread(Tid); // from here on the fallback path
+  ASSERT_TRUE(Space.tryDelete(B)); // pooled on its shard
+  EXPECT_EQ(Space.liveSharedRegions(), 1u);
+  ASSERT_TRUE(Space.tryDelete(C));
+  EXPECT_EQ(Space.liveSharedRegions(), 0u);
+  SharedRegion *D = Space.share(Mgr.newRegion());
+  EXPECT_EQ(Space.liveSharedRegions(), 1u);
+  ASSERT_TRUE(Space.tryDelete(D));
+  EXPECT_EQ(Space.liveSharedRegions(), 0u);
 }
 
 TEST_F(ParallelTest, ReusedRecordStartsWithEverySlotZero) {
