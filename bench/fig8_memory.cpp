@@ -24,6 +24,10 @@ int main() {
 
   TableWriter T({"name", "requested", "sun", "bsd", "lea", "gc", "reg",
                  "best", "reg vs best"});
+  // The paper's memory-hungry pair, checked row by row: BSD (index 1)
+  // as the smallest malloc, the collector (index 3) as the largest of
+  // all five.
+  int BsdSmallestMalloc = 0, GcLargest = 0, Rows = 0;
   for (WorkloadId W : kAllWorkloads) {
     std::vector<std::string> Row;
     Row.push_back(workloadName(W));
@@ -45,6 +49,10 @@ int main() {
         BestIdx = I;
       }
     }
+    BsdSmallestMalloc += Os[1] < Os[0] && Os[1] < Os[2];
+    GcLargest += Os[3] > Os[0] && Os[3] > Os[1] && Os[3] > Os[2] &&
+                 Os[3] > Os[4];
+    ++Rows;
     Row.push_back(backendName(Allocators[BestIdx]));
     Row.push_back(TableWriter::fmtPercentOf(Os[4], Best));
     T.addRow(Row);
@@ -53,6 +61,9 @@ int main() {
   std::printf(
       "\nPaper shape: regions rank first or second everywhere (9%% less to\n"
       "19%% more than Lea); BSD and the collector use far more memory than\n"
-      "the others, often several times the requested amount.\n");
+      "the others, often several times the requested amount.\n"
+      "Here: the collector uses the most memory on %d of %d programs, and\n"
+      "BSD is the smallest malloc on %d of %d.\n",
+      GcLargest, Rows, BsdSmallestMalloc, Rows);
   return 0;
 }

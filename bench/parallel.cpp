@@ -203,17 +203,38 @@ void BM_TryDeleteRefusedRegistered(benchmark::State &State) {
 }
 BENCHMARK(BM_TryDeleteRefusedRegistered)->Threads(1)->Threads(2)->Threads(4);
 
+/// The shards (ParallelSpace::shardOf) that one shareDeleteCycles run's
+/// regions hash to, over all of its threads, one bit each.
+std::atomic<unsigned> GCycleShards{0};
+
 /// Creates a region, publishes it as shared through \p Space and
-/// deletes it again, once per iteration.
+/// deletes it again, once per iteration. Reports `distinct_shards`:
+/// a thread recycles the same few pages, so its regions keep hashing
+/// to the same shards, and threads whose shards coincide share a lock
+/// on the fallback path.
 void shareDeleteCycles(benchmark::State &State, ParallelSpace &Space) {
   RegionManager Mgr{SafetyConfig::unsafeConfig()};
+  // Thread 0 clears the set before the loop's start barrier, and every
+  // thread has added its shards before the stop barrier.
+  if (State.thread_index() == 0)
+    GCycleShards.store(0, std::memory_order_relaxed);
+  unsigned Seen = 0;
   for (auto _ : State) {
-    SharedRegion *S = Space.share(Mgr.newRegion());
+    Region *R = Mgr.newRegion();
+    unsigned Bit = 1u << ParallelSpace::shardOf(R);
+    if (!(Seen & Bit)) {
+      Seen |= Bit;
+      GCycleShards.fetch_or(Bit, std::memory_order_relaxed);
+    }
+    SharedRegion *S = Space.share(R);
     rnew<int>(S->region(), 1);
     bool Deleted = Space.tryDelete(S);
     benchmark::DoNotOptimize(Deleted);
   }
   State.SetItemsProcessed(State.iterations());
+  if (State.thread_index() == 0)
+    State.counters["distinct_shards"] = static_cast<double>(
+        __builtin_popcount(GCycleShards.load(std::memory_order_relaxed)));
 }
 
 /// The synchronized slow path the paper confines to region lifetime:

@@ -219,6 +219,10 @@ void RegionManager::dumpHeap(std::FILE *Out) const {
     };
     DumpChain("normal", R->Normal);
     DumpChain("str", R->Str);
+    if (R->FirstOffset != 0)
+      std::fprintf(Out, "  first page %u: unadopted, free from %u/%zu\n",
+                   R->InlineRuns[0].PageIdx, unsigned{R->FirstOffset},
+                   kPageSize);
     for (const char *Block = R->LargeHead; Block;
          Block = headerOf(const_cast<char *>(Block))->Next) {
       std::size_t NumPages = *reinterpret_cast<const std::size_t *>(

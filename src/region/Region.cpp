@@ -89,10 +89,11 @@ char *RegionManager::carvePage(Region *R, bool &Zeroed) {
     } else {
       // Geometric growth, doubling every other run: 1, 1, 2, 2, 4, 4,
       // 8, 8, then kMaxRunPages forever. Two leading single-page runs
-      // keep the common tiny region (its own page plus one str page)
-      // waste-free, the half-rate doubling keeps mid-size regions'
-      // uncarved slack (which Figure 8's osBytes high-water mark sees)
-      // low, and the cap keeps every freed run exact-bin recyclable.
+      // (its own page, then one more) keep a small region that outgrows
+      // its first page waste-free, the half-rate doubling keeps mid-size
+      // regions' uncarved slack (which Figure 8's osBytes high-water
+      // mark sees) low, and the cap keeps every freed run exact-bin
+      // recyclable.
       static_assert(Region::kMaxRunPages == 16, "growth schedule assumes 16");
       std::uint32_t N = R->NumRuns >= 8 ? Region::kMaxRunPages
                                         : 1u << (R->NumRuns >> 1);
@@ -124,45 +125,51 @@ char *RegionManager::carvePage(Region *R, bool &Zeroed) {
   return Page;
 }
 
-char *RegionManager::newPage(Region *R, PageKind Kind) {
+char *RegionManager::newPage(Region *R, PageKind Kind, std::size_t Need) {
+  char *Page;
+  std::uint32_t Offset = sizeof(PageHeader);
   bool Zeroed = false;
-  char *Page = carvePage(R, Zeroed);
-  std::uint16_t Flags = Zeroed ? kPageZeroTail : 0;
-  // A dirty normal page under ZeroMemory is cleared wholesale on
-  // refill: one page-sized memset replaces the per-object memsets and
-  // end-marker stores the fast path would otherwise issue.
-  if (!Zeroed && Kind == PageKind::Normal && Cfg.ZeroMemory) {
-    std::memset(Page + sizeof(PageHeader), 0, kPageSize - sizeof(PageHeader));
-    Flags = kPageZeroTail;
+  if (R->FirstOffset != 0 && R->FirstOffset + Need <= kPageSize) {
+    // The first page's remainder, adopted by whichever list asks first
+    // with a request that fits. A recycled first page stays dirty with
+    // no bulk clear: the end marker below stops the cleanup scan, and
+    // the fast path zeroes each object under ZeroMemory.
+    Page = Source.base() + std::size_t{R->InlineRuns[0].PageIdx} * kPageSize;
+    Offset = R->FirstOffset;
+    Zeroed = R->FirstZeroTail != 0;
+    R->FirstOffset = 0;
+  } else {
+    Page = carvePage(R, Zeroed);
+    // A dirty normal page under ZeroMemory is cleared wholesale on
+    // refill: one page-sized memset replaces the per-object memsets and
+    // end-marker stores the fast path would otherwise issue.
+    if (!Zeroed && Kind == PageKind::Normal && Cfg.ZeroMemory) {
+      std::memset(Page + Offset, 0, kPageSize - Offset);
+      Zeroed = true;
+    }
   }
   Region::BumpList &List = Kind == PageKind::Str ? R->Str : R->Normal;
-  *headerOf(Page) = {List.Head, sizeof(PageHeader), Kind, Flags};
+  *headerOf(Page) = {List.Head, Offset, Kind,
+                     static_cast<std::uint16_t>(Zeroed ? kPageZeroTail : 0)};
   List.Head = Page;
-  List.Offset = sizeof(PageHeader);
-  List.ZeroTail = (Flags & kPageZeroTail) ? 1 : 0;
+  List.Offset = Offset;
+  List.ZeroTail = Zeroed ? 1 : 0;
   if constexpr (detail::kRsanEnabled) {
     // The whole bump tail is out of bounds until allocated from; each
     // allocation unpoisons exactly its own extent. Str pages also need
     // the metadata-walk terminator that only normal pages kept before.
-    RGN_ASAN_POISON(Page + List.Offset, kPageSize - List.Offset);
-    if (!(Flags & kPageZeroTail))
-      writeEndMarker(Page, List.Offset);
-  } else if (Kind == PageKind::Normal && !(Flags & kPageZeroTail)) {
-    writeEndMarker(Page, List.Offset);
+    RGN_ASAN_POISON(Page + Offset, kPageSize - Offset);
+    if (!Zeroed)
+      writeEndMarker(Page, Offset);
+  } else if (Kind == PageKind::Normal && !Zeroed) {
+    writeEndMarker(Page, Offset);
   }
   return Page;
 }
 
 Region *RegionManager::newRegion() {
-  // A recycled first page is left dirty, as resetRegion leaves it: the
-  // end marker below terminates the cleanup scan, and per-object
-  // zeroing on the fast path covers ZeroMemory. Clearing it here would
-  // write every line of a page the previous owner (often another
-  // thread) may still hold in its cache.
   bool Zeroed = false;
   char *Page = static_cast<char *>(Source.allocPages(1, &Zeroed));
-  std::uint16_t Flags = Zeroed ? kPageZeroTail : 0;
-  *headerOf(Page) = {nullptr, 0, PageKind::Normal, Flags};
 
   // The region structure lives in its own first page, offset by
   // successive multiples of 64 bytes (up to 512) to spread region
@@ -183,16 +190,15 @@ Region *RegionManager::newRegion() {
   R->Mgr = this;
   R->Id = NextRegionId++;
   R->CountRefs = Cfg.RefCounts;
-  R->Normal.Head = Page;
-  R->Normal.Offset = static_cast<std::uint32_t>(
+  // Both bump lists start empty. The rest of the page waits for the
+  // first normal or str request that fits (newPage), so the page header
+  // is written when a list adopts it; until then nothing walks the page.
+  R->FirstOffset = static_cast<std::uint16_t>(
       sizeof(PageHeader) + CacheOffset + alignTo(sizeof(Region),
                                                  kDefaultAlignment));
-  R->Normal.ZeroTail = (Flags & kPageZeroTail) ? 1 : 0;
-  headerOf(Page)->ScanStart = R->Normal.Offset;
+  R->FirstZeroTail = Zeroed ? 1 : 0;
   if constexpr (detail::kRsanEnabled)
-    RGN_ASAN_POISON(Page + R->Normal.Offset, kPageSize - R->Normal.Offset);
-  if (!(Flags & kPageZeroTail))
-    writeEndMarker(Page, R->Normal.Offset);
+    RGN_ASAN_POISON(Page + R->FirstOffset, kPageSize - R->FirstOffset);
   setMapRange(Page, 1, R);
   // The region's own page is its first (single-page) run; the carve
   // cursor starts exhausted, so the next page grabs a fresh run.
@@ -219,7 +225,7 @@ void *RegionManager::allocRawSlow(Region *R, std::size_t Size, bool Zeroed) {
   if (Payload < Size || Need > kPageSize - sizeof(PageHeader))
     return allocLarge(R, Size, nullptr, Zeroed);
 
-  newPage(R, PageKind::Str);
+  newPage(R, PageKind::Str, Need);
   Region::BumpList &B = R->Str;
   char *Base = B.Head + B.Offset;
   B.Offset += static_cast<std::uint32_t>(Need);
@@ -243,7 +249,7 @@ void *RegionManager::allocScannedSlow(Region *R, std::size_t Size,
   if (Payload < Size || Need > kPageSize - sizeof(PageHeader))
     return allocLarge(R, Size, Thunk, false);
 
-  newPage(R, PageKind::Normal);
+  newPage(R, PageKind::Normal, Need);
   Region::BumpList &B = R->Normal;
   char *Base = B.Head + B.Offset;
   RGN_ASAN_UNPOISON(Base, Need);
@@ -538,7 +544,7 @@ bool RegionManager::resetRegion(Region *R) {
 
   // The retained runs become the re-carve reservoir: carvePage (and
   // exact-fit allocLarge) hand their pages back out before touching the
-  // PageSource. Run 0 is the region's own page, re-consumed right here.
+  // PageSource. Run 0 is the region's own page, unadopted again below.
   R->RunCursor = 0;
   R->RunEnd = 0;
   R->NextReserve = 1;
@@ -557,12 +563,12 @@ bool RegionManager::resetRegion(Region *R) {
     }
   }
 
-  // Re-initialize the first page around the surviving region structure
-  // (same address: every raw Region* handle stays valid). The page is
-  // left dirty, as newRegion leaves a recycled first page: the end
-  // marker stops the scan and per-object zeroing covers ZeroMemory.
+  // The first page's remainder past the surviving region structure
+  // (same address: every raw Region* handle stays valid) goes back to
+  // its unadopted state, dirty, as newRegion leaves a recycled first
+  // page: whichever list adopts it writes its header and end marker.
   char *Page = Base + std::size_t{R->InlineRuns[0].PageIdx} * kPageSize;
-  auto Offset = static_cast<std::uint32_t>(
+  auto Offset = static_cast<std::uint16_t>(
       (reinterpret_cast<char *>(R) - Page) +
       alignTo(sizeof(Region), kDefaultAlignment));
   if constexpr (detail::kRsanEnabled) {
@@ -571,8 +577,8 @@ bool RegionManager::resetRegion(Region *R) {
                 kPageSize - Offset);
     RGN_ASAN_POISON(Page + Offset, kPageSize - Offset);
   }
-  *headerOf(Page) = {nullptr, Offset, PageKind::Normal, 0};
-  writeEndMarker(Page, Offset);
+  R->FirstOffset = Offset;
+  R->FirstZeroTail = 0;
 
   R->RC = 0; // proven zero when counting; restores fresh state otherwise
   // OutRefs is zero after a cleanup scan. Without one (CleanupScan off)
@@ -580,7 +586,7 @@ bool RegionManager::resetRegion(Region *R) {
   // the new incarnation holds none of them.
   R->OutRefs.store(0, std::memory_order_relaxed);
   R->MayFinalize = false;
-  R->Normal = {Page, Offset, 0};
+  R->Normal = {};
   R->Str = {};
   R->LargeHead = nullptr;
   R->NumAllocs = 0;

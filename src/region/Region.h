@@ -23,7 +23,10 @@
 /// per-object cleanup header and a NULL end marker per page) and one for
 /// pointer-free data ("str", headerless). The region structure itself
 /// lives in the region's first page, offset by successive multiples of
-/// 64 bytes to reduce cache conflicts between region structures.
+/// 64 bytes to reduce cache conflicts between region structures. The
+/// rest of that page goes to whichever sub-allocator first asks for a
+/// page with a request that fits there, so a region whose data is all
+/// pointer-free does not leave its first page almost empty.
 ///
 /// Extension beyond the paper's prototype (§4.1 footnote): allocations
 /// larger than a page are supported via dedicated page runs, without
@@ -333,6 +336,15 @@ private:
   // Set by allocScanned, on the line the bump path already writes, when
   // a thunk may run user code; cleared only by resetRegion.
   bool MayFinalize = false;
+  // The first page's remainder past this structure, until a bump list
+  // adopts it: newRegion and resetRegion leave both lists empty, and
+  // newPage gives the remainder to the first normal or str request that
+  // fits before it carves a page, so a small region of either kind
+  // lives in one page. FirstOffset is the remainder's start (0 once
+  // adopted); FirstZeroTail says it reads zero. Both sit in the padding
+  // before InlineRuns.
+  std::uint8_t FirstZeroTail = 0;
+  std::uint16_t FirstOffset = 0;
   // Run table: every page run this region owns (growth runs and large-
   // object runs alike), in grab order. InlineRuns[0] is always the
   // region's own first page. The overflow array is raw malloc storage —
@@ -544,7 +556,9 @@ public:
   /// running cleanups (the arena disappears wholesale).
   ~RegionManager();
 
-  /// Creates a new, empty region (paper: newregion()).
+  /// Creates a new, empty region (paper: newregion()) in one page: the
+  /// region structure, then a remainder that the first normal or str
+  /// allocation to fit adopts (see Region::FirstOffset).
   Region *newRegion();
 
   /// Allocates \p Size bytes of pointer-free storage in \p R (paper:
@@ -609,9 +623,9 @@ public:
   /// run (growth and large-object runs alike, with their page-map
   /// entries) as a re-carve reservoir: carvePage and exact-fit
   /// allocLarge requests drain it before touching the source.
-  /// The first page's Figure-7 end-marker state is reinstalled and
-  /// retained pages are re-poisoned under RGN_HARDEN. The region keeps
-  /// its address but becomes a new logical region: a fresh id is
+  /// The first page's remainder is unadopted again, as newRegion leaves
+  /// it, and retained pages are re-poisoned under RGN_HARDEN. The region
+  /// keeps its address but becomes a new logical region: a fresh id is
   /// stamped and the retired incarnation is folded into stats and the
   /// rstat lifetime histograms exactly as a deletion would. Retention
   /// is bounded by the caller, not here — RegionPool's page budget
@@ -693,7 +707,10 @@ public:
   void drainQuarantine() { Source.drainQuarantine(); }
 
 private:
-  char *newPage(Region *R, detail::PageKind Kind);
+  /// Starts a fresh page on \p Kind's bump list for a request of \p Need
+  /// bytes: the first page's remainder when it is unadopted and fits,
+  /// a carved page otherwise.
+  char *newPage(Region *R, detail::PageKind Kind, std::size_t Need);
   char *carvePage(Region *R, bool &Zeroed);
   void recordRun(Region *R, std::uint32_t PageIdx, std::uint32_t NumPages);
   void *allocRawSlow(Region *R, std::size_t Size, bool Zeroed);

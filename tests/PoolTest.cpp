@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -34,6 +35,12 @@ namespace {
 struct PoolTest : ::testing::Test {
   RegionManager Mgr{SafetyConfig::safeConfig(), std::size_t{256} << 20};
   void SetUp() override { Mgr.setQuarantineBudget(0); }
+};
+
+/// Not trivially destructible, so rnew puts it on the normal list.
+struct Scanned {
+  ~Scanned() {}
+  int Value = 0;
 };
 
 // One region-per-request cycle: a few header strings plus a body large
@@ -67,6 +74,31 @@ TEST_F(PoolTest, AcquireReusesTheReleasedRegionInPlace) {
   EXPECT_EQ(Again->requestedBytes(), 0u);
   EXPECT_EQ(Again->referenceCount(), 0);
   EXPECT_EQ(Mgr.metrics().Pool.Hits, 1u);
+  ASSERT_TRUE(Pool.release(Again));
+}
+
+TEST_F(PoolTest, ResetLeavesTheFirstPageUnadopted) {
+  // The first incarnation's scanned object puts the first page on the
+  // normal list. After the reset either list may adopt it again: here
+  // the next incarnation's raw data lands there, and its scanned
+  // object re-carves a reservoir page instead.
+  auto PageOf = [](const void *P) {
+    return reinterpret_cast<std::uintptr_t>(P) >> kPageShift;
+  };
+  RegionPool Pool{Mgr};
+  Region *R = Pool.acquire();
+  EXPECT_EQ(PageOf(rnew<Scanned>(R)), PageOf(R));
+  EXPECT_NE(PageOf(Mgr.allocRaw(R, 3900)), PageOf(R));
+  std::size_t Owned = R->ownedPages();
+  ASSERT_TRUE(Pool.release(R));
+  std::size_t Os = Mgr.osBytes();
+
+  Region *Again = Pool.acquire();
+  ASSERT_EQ(Again, R);
+  EXPECT_EQ(PageOf(Mgr.allocRaw(Again, 64)), PageOf(Again));
+  EXPECT_NE(PageOf(rnew<Scanned>(Again)), PageOf(Again));
+  EXPECT_EQ(Again->ownedPages(), Owned);
+  EXPECT_EQ(Mgr.osBytes(), Os);
   ASSERT_TRUE(Pool.release(Again));
 }
 

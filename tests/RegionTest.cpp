@@ -396,9 +396,11 @@ std::uint64_t bestRetireNanos(RegionManager &Mgr, RetireFn Retire) {
     for (Region *&R : Batch)
       Retire(R);
     Best = std::min(Best, monotonicNanos() - Start);
-    for (Region *&R : Batch)
-      if (R)
+    for (Region *&R : Batch) {
+      if (R) {
         EXPECT_TRUE(Mgr.deleteRegionRaw(R));
+      }
+    }
   }
   return Best;
 }
@@ -596,6 +598,61 @@ TEST_F(RegionTest, DirtyFirstPageKeepsScanAndZeroing) {
     EXPECT_EQ(StaleThunkCalls, 0)
         << Objects << " objects: the scan ran past the end marker";
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The first page: its remainder goes to whichever list asks first
+//===----------------------------------------------------------------------===//
+
+TEST_F(RegionTest, SmallRawRegionLivesInOnePage) {
+  // A region whose data is pointer-free keeps it next to its own
+  // structure instead of grabbing a second page.
+  std::size_t Os = Mgr.osBytes();
+  Region *R = Mgr.newRegion();
+  void *P = Mgr.allocRaw(R, 64);
+  EXPECT_EQ(firstPageOf(P), firstPageOf(R));
+  EXPECT_EQ(R->ownedPages(), 1u);
+  EXPECT_EQ(Mgr.osBytes(), Os + kPageSize);
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+}
+
+TEST_F(RegionTest, RawTooBigForTheRemainderLeavesItToScannedObjects) {
+  // The remainder is at most a page less the page header and the
+  // region structure; a raw request past that carves a page, and the
+  // remainder still waits for the first scanned object.
+  Region *R = Mgr.newRegion();
+  std::size_t Remainder = kPageSize - sizeof(detail::PageHeader) -
+                          sizeof(Region);
+  ASSERT_LE(Remainder + 64, RegionManager::maxRawAlloc());
+  void *Raw = Mgr.allocRaw(R, Remainder + 64);
+  EXPECT_NE(firstPageOf(Raw), firstPageOf(R));
+  int Count = 0;
+  void *Obj = rnew<Tracked>(R, &Count);
+  EXPECT_EQ(firstPageOf(Obj), firstPageOf(R));
+  EXPECT_EQ(R->ownedPages(), 2u);
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+  EXPECT_EQ(Count, 1);
+}
+
+TEST_F(RegionTest, StrAdoptedFirstPageIsNeverScanned) {
+  // Raw data first puts the first page on the str list, so the cleanup
+  // scan must not walk it. Its bytes name a thunk that counts calls:
+  // any call means the scan read the str data as object headers.
+  constexpr int kObjects = 10;
+  Region *R = Mgr.newRegion();
+  const auto Word = reinterpret_cast<std::uintptr_t>(&staleThunk);
+  auto *Raw = static_cast<std::uintptr_t *>(Mgr.allocRaw(R, 512));
+  ASSERT_EQ(firstPageOf(Raw), firstPageOf(R));
+  std::fill(Raw, Raw + 512 / sizeof(Word), Word);
+  int Count = 0;
+  for (int I = 0; I != kObjects; ++I)
+    EXPECT_NE(firstPageOf(rnew<Tracked>(R, &Count)), firstPageOf(R));
+  StaleThunkCalls = 0;
+  std::uint64_t Before = Mgr.stats().CleanupThunksRun;
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+  EXPECT_EQ(Count, kObjects);
+  EXPECT_EQ(Mgr.stats().CleanupThunksRun, Before + kObjects);
+  EXPECT_EQ(StaleThunkCalls, 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -261,6 +261,31 @@ TEST(RsanValidate, CleanRegionReportsClean) {
   EXPECT_TRUE(deleteRegion(R));
 }
 
+TEST(RsanValidate, CheckRegionCoversTheStrAdoptedFirstPage) {
+  // A fresh region's first str object lands next to the region
+  // structure; the str walk must check it there. Under ASan the
+  // corrupting store first lifts the red zone's poison (the walk puts
+  // it back), so the canary walk is what reports the damage.
+  RegionManager Mgr(SafetyConfig::unsafeConfig(), std::size_t{64} << 20);
+  Region *R = Mgr.newRegion();
+  char *P = rnewArray<char>(R, 16);
+  ASSERT_EQ(pageOf(P), pageOf(R)) << "the str list adopts the first page";
+  rnew<Counted>(R, 1); // a scanned object, on a page of its own
+  auto Poke = [](char *At, char Value) {
+    RGN_ASAN_UNPOISON(At, 1);
+    *At = Value;
+  };
+  Poke(P + 16, 'X');
+  RsanReport Rep = rsanCheckRegion(R);
+  EXPECT_TRUE(Rep.Checked);
+  EXPECT_EQ(Rep.ObjectsChecked, 2u);
+  EXPECT_EQ(Rep.RedZoneViolations, 1u);
+  EXPECT_EQ(Rep.MetadataViolations, 0u);
+  Poke(P + 16, static_cast<char>(detail::kRsanRedZoneCanary));
+  EXPECT_TRUE(rsanCheckRegion(R).clean());
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+}
+
 #if !RGN_ASAN
 // Under ASan the corrupting stores below are themselves trapped at the
 // faulting instruction (the red zones are ASan-poisoned), which is the
