@@ -93,10 +93,15 @@ char *RegionManager::carvePage(Region *R, bool &Zeroed) {
       // its first page waste-free, the half-rate doubling keeps mid-size
       // regions' uncarved slack (which Figure 8's osBytes high-water
       // mark sees) low, and the cap keeps every freed run exact-bin
-      // recyclable.
+      // recyclable. The schedule counts growth runs only: were large-
+      // object runs to advance it, whether a large object came before
+      // or after a page boundary would change the run lengths, and
+      // with them the free-run shapes the next region finds.
       static_assert(Region::kMaxRunPages == 16, "growth schedule assumes 16");
-      std::uint32_t N = R->NumRuns >= 8 ? Region::kMaxRunPages
-                                        : 1u << (R->NumRuns >> 1);
+      std::uint32_t G = R->GrowthRuns;
+      std::uint32_t N = G >= 8 ? Region::kMaxRunPages : 1u << (G >> 1);
+      if (G < 8)
+        ++R->GrowthRuns;
       bool RunZeroed = false;
       char *Base = static_cast<char *>(Source.allocPages(N, &RunZeroed));
       auto Idx = static_cast<std::uint32_t>(Source.pageIndex(Base));
@@ -204,6 +209,7 @@ Region *RegionManager::newRegion() {
   // cursor starts exhausted, so the next page grabs a fresh run.
   R->InlineRuns[0] = {static_cast<std::uint32_t>(Source.pageIndex(Page)), 1};
   R->NumRuns = 1;
+  R->GrowthRuns = 1;
   rstat::traceEvent(rstat::EventKind::NewRegion, R->Id);
   rstat::traceEvent(rstat::EventKind::RunGrab, R->InlineRuns[0].PageIdx, 1);
 

@@ -304,10 +304,10 @@ public:
 private:
   friend class RegionManager;
 
-  /// Page runs grow geometrically (1, 1, 2, 2, 4, 4, 8, 8, then
+  /// Growth runs grow geometrically (1, 1, 2, 2, 4, 4, 8, 8, then
   /// kMaxRunPages pages — see carvePage) and are capped at
   /// PageSource::kMaxBin so every freed run recycles through an
-  /// exact-size bin.
+  /// exact-size bin. Large-object runs do not advance the schedule.
   static constexpr std::uint32_t kMaxRunPages =
       static_cast<std::uint32_t>(PageSource::kMaxBin);
 
@@ -368,9 +368,14 @@ private:
   // indices: pages [RunCursor, RunEnd) are grabbed but not yet handed
   // to a bump list. RunZeroed carries the run's PageSource zero-state
   // to each carved page so the zero-tail fast path survives chunking.
+  // GrowthRuns counts the growth runs grabbed so far, the first page
+  // included, up to the schedule's cap: it alone picks the next run's
+  // length, so large objects in between do not change the sizes a
+  // region's growth runs take.
   std::uint32_t RunCursor = 0;
   std::uint32_t RunEnd = 0;
-  std::uint32_t RunZeroed = 0;
+  std::uint16_t RunZeroed = 0;
+  std::uint16_t GrowthRuns = 0;
   // Reserve window into the run table (rpool): runs [NextReserve,
   // ReserveEnd) were retained by resetRegion and are re-carved before
   // any fresh grab. ReserveEnd is frozen at reset time so runs recorded

@@ -634,6 +634,26 @@ TEST_F(RegionTest, RawTooBigForTheRemainderLeavesItToScannedObjects) {
   EXPECT_EQ(Count, 1);
 }
 
+TEST_F(RegionTest, LargeObjectsDoNotAdvanceGrowthRuns) {
+  // Growth runs take 1, 2, 2, ... pages after the first page however
+  // many large-object runs the region recorded before them, so the
+  // order of large objects and page boundaries cannot change them.
+  Region *R = Mgr.newRegion();
+  for (int I = 0; I != 6; ++I)
+    Mgr.allocRaw(R, 2 * kPageSize);
+  const std::size_t Owned = R->ownedPages();
+  const std::size_t Full = RegionManager::maxRawAlloc();
+  Mgr.allocRaw(R, Full); // past the first page's remainder: one page
+  EXPECT_EQ(R->ownedPages(), Owned + 1);
+  Mgr.allocRaw(R, Full); // a two-page run
+  EXPECT_EQ(R->ownedPages(), Owned + 3);
+  Mgr.allocRaw(R, Full); // that run's second page
+  EXPECT_EQ(R->ownedPages(), Owned + 3);
+  Mgr.allocRaw(R, Full); // the second two-page run
+  EXPECT_EQ(R->ownedPages(), Owned + 5);
+  ASSERT_TRUE(Mgr.deleteRegionRaw(R));
+}
+
 TEST_F(RegionTest, StrAdoptedFirstPageIsNeverScanned) {
   // Raw data first puts the first page on the str list, so the cleanup
   // scan must not walk it. Its bytes name a thunk that counts calls:
